@@ -623,7 +623,7 @@ mod disk {
                             0,
                         );
                     }
-                    Response::Wait | Response::Declined { retry: true } => {}
+                    Response::Wait { .. } | Response::Declined { retry: true } => {}
                     Response::Left | Response::Declined { retry: false } => {
                         sims[i] = None;
                         live -= 1;
@@ -853,14 +853,18 @@ mod net {
     /// `(name, proxy spec, labels must match baseline)`. Corruption can
     /// garble a line into *different but valid* JSON (a stray vote), so
     /// its cell asserts clean completion and balance, not label parity.
+    /// Fault rates are per connection, and each loadgen thread keeps one
+    /// connection until a fault breaks it, so the reset and blackhole
+    /// rates are high enough that each fault scenario still breaks
+    /// several connections per run.
     fn scenarios() -> Vec<(&'static str, &'static str, bool)> {
         vec![
             ("latency", "latency=2:1,seed=7", true),
             ("bandwidth", "bw=262144,seed=7", true),
-            ("reset", "reset=0.25,seed=7", true),
-            ("blackhole", "blackhole=0.25,seed=7", true),
+            ("reset", "reset=1.0,seed=7", true),
+            ("blackhole", "blackhole=0.5,seed=7", true),
             ("corrupt", "corrupt=0.05,seed=7", false),
-            ("storm", "latency=1,reset=0.1,blackhole=0.1,seed=7", true),
+            ("storm", "latency=1,reset=0.5,blackhole=0.25,seed=7", true),
         ]
     }
 
@@ -883,6 +887,13 @@ mod net {
             ..Default::default()
         })
         .expect("loadgen rode through the chaos");
+        // The loadgen may have lost the SHUTDOWN reply and inferred the
+        // drain from a silent server; check here that it really began
+        // (otherwise `join` would wait forever).
+        assert!(
+            handle.is_draining(),
+            "server never received SHUTDOWN under {name}"
+        );
         let result = handle.join();
         let stats = proxy.stop();
 

@@ -66,8 +66,8 @@ USAGE:
     icrowd compare  --dataset <name> [--seed N] [--faults <spec>] [--telemetry <path>]
     icrowd graph    --dataset <name> [--metric <m>] [--threshold X]
     icrowd quals    --dataset <name> [--q N] [--strategy inf|random]
-    icrowd serve    --dataset <name> [--approach <a>] [--addr H:P] [--handlers N]
-                    [--queue N] [--seed N] [--faults <spec>] [--labels-out <path>]
+    icrowd serve    --dataset <name> [--approach <a>] [--addr H:P] [--max-conns N]
+                    [--seed N] [--faults <spec>] [--labels-out <path>]
                     [--journal <path> | --recover <path>] [--fsync N]
                     [--snapshot-every N] [--durability fail-stop|degrade|retry]
                     [--idle-timeout-ms T] [--telemetry <path>]
@@ -543,8 +543,7 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
     let approach = approach_by_name(args.get_or("approach", "icrowd"))?;
     let serve_config = ServeConfig {
         addr: args.get_or("addr", "127.0.0.1:7700").to_owned(),
-        handlers: args.get_parsed("handlers", 4usize)?,
-        queue_cap: args.get_parsed("queue", 64usize)?,
+        max_conns: args.get_parsed("max-conns", ServeConfig::default().max_conns)?,
         idle_timeout_ms: args.get_parsed("idle-timeout-ms", 10_000u64)?,
         metrics_every_ms: args.get_parsed("metrics-every", 0u64)?,
         metrics_out: args.get("metrics-out").map(str::to_owned),
@@ -891,7 +890,7 @@ mod tests {
             .unwrap_err()
             .0
             .contains("invalid --faults"));
-        assert!(run_line("serve --dataset table1 --handlers many")
+        assert!(run_line("serve --dataset table1 --max-conns many")
             .unwrap_err()
             .0
             .contains("many"));

@@ -235,6 +235,21 @@ impl MarketDriver {
         self.pending
     }
 
+    /// The worker whose poll the schedule is waiting on: the holder of
+    /// the pending assignment, else the worker whose turn heads the
+    /// schedule. `None` when a deferred delivery heads it (any poll
+    /// pumps that) or the schedule is exhausted. Reading it never
+    /// changes the schedule.
+    pub fn turn_holder(&self) -> Option<usize> {
+        if let Some(p) = self.pending {
+            return Some(p.worker);
+        }
+        match self.heap.peek() {
+            Some(&Reverse((_, _, Pending::Turn(wi)))) => Some(wi),
+            _ => None,
+        }
+    }
+
     /// Whether the schedule has been exhausted and the final sweep ran.
     pub fn is_finished(&self) -> bool {
         self.finished

@@ -16,6 +16,11 @@
 //!   comes back (client timeouts must fire — a wedged connection may
 //!   never hang the worker loop).
 //!
+//! A scheduled **cut** pins a reset to one exchange: connection *n* (in
+//! accept order) is closed after exactly *b* forwarded bytes, whatever
+//! the seeded draws say — how a regression test kills one specific
+//! reply.
+//!
 //! All decisions come from a counter-seeded splitmix64 stream keyed by
 //! the connection index — the same discipline as
 //! [`icrowd_platform::faults::FaultPlan`] — so a given seed yields the
@@ -52,6 +57,10 @@ pub struct ChaosProxyConfig {
     /// Probability that a connection is blackholed: accepted, then all
     /// traffic swallowed until the client gives up.
     pub blackhole_rate: f64,
+    /// A scheduled reset `(connection, bytes)`: the connection with this
+    /// 0-based accept index is closed after this many forwarded bytes
+    /// (both directions counted), overriding its seeded reset draw.
+    pub cut: Option<(u64, u64)>,
 }
 
 impl Default for ChaosProxyConfig {
@@ -64,6 +73,7 @@ impl Default for ChaosProxyConfig {
             reset_rate: 0.0,
             corrupt_rate: 0.0,
             blackhole_rate: 0.0,
+            cut: None,
         }
     }
 }
@@ -93,7 +103,8 @@ impl ChaosProxyConfig {
     /// ```
     ///
     /// `latency` takes `UP_MS:DOWN_MS` or a single value for both
-    /// directions. Unknown keys and out-of-range rates are errors.
+    /// directions; `cut=CONN:BYTES` schedules one reset. Unknown keys
+    /// and out-of-range rates are errors.
     ///
     /// # Errors
     /// Returns a human-readable message describing the malformed field.
@@ -122,6 +133,13 @@ impl ChaosProxyConfig {
                 "reset" => config.reset_rate = value.parse().map_err(|_| bad("rate"))?,
                 "corrupt" => config.corrupt_rate = value.parse().map_err(|_| bad("rate"))?,
                 "blackhole" => config.blackhole_rate = value.parse().map_err(|_| bad("rate"))?,
+                "cut" => {
+                    let (conn, bytes) = value.split_once(':').ok_or_else(|| bad("cut"))?;
+                    config.cut = Some((
+                        conn.parse().map_err(|_| bad("cut"))?,
+                        bytes.parse().map_err(|_| bad("cut"))?,
+                    ));
+                }
                 other => return Err(format!("unknown chaos proxy spec key `{other}`")),
             }
         }
@@ -280,12 +298,15 @@ fn accept_loop(
             Ok((client, _)) => {
                 stats.connections.fetch_add(1, Ordering::Relaxed);
                 let mut plan = ConnPlan::new(config.seed, conn_index);
-                conn_index += 1;
-                let fate = ConnFate {
+                let mut fate = ConnFate {
                     blackhole: plan.next_unit() < config.blackhole_rate,
                     reset_after: (plan.next_unit() < config.reset_rate)
                         .then(|| 1 + plan.next_u64() % 1024),
                 };
+                if let Some((_, bytes)) = config.cut.filter(|&(c, _)| c == conn_index) {
+                    fate.reset_after = Some(bytes);
+                }
+                conn_index += 1;
                 let config = config.clone();
                 let shutdown = Arc::clone(shutdown);
                 let stats = Arc::clone(stats);
@@ -460,7 +481,11 @@ fn pump(
                 budget.fetch_sub(send.min(budget.load(Ordering::Relaxed)), Ordering::Relaxed);
             if before <= send {
                 send = before;
-                stats.resets.fetch_add(1, Ordering::Relaxed);
+                // Only the chunk that crosses zero counts the reset; the
+                // other direction finding the budget spent does not.
+                if before > 0 {
+                    stats.resets.fetch_add(1, Ordering::Relaxed);
+                }
                 budget.store(0, Ordering::Relaxed);
             }
         }
@@ -500,6 +525,10 @@ mod tests {
         assert!(ChaosProxyConfig::parse("reset=1.5").is_err());
         assert!(ChaosProxyConfig::parse("warp=1").is_err());
         assert!(ChaosProxyConfig::parse("latency").is_err());
+        let c = ChaosProxyConfig::parse("cut=3:18").unwrap();
+        assert_eq!(c.cut, Some((3, 18)));
+        assert!(ChaosProxyConfig::parse("cut=3").is_err());
+        assert!(ChaosProxyConfig::parse("cut=x:18").is_err());
     }
 
     #[test]

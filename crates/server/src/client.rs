@@ -8,8 +8,9 @@ use serde_json::Value;
 
 use crate::protocol::Request;
 
-/// One protocol connection. Connections are cheap and stateless;
-/// the load generator opens one per poll cycle.
+/// One protocol connection. The server serves any number of request
+/// lines per connection, so a client keeps one for its whole run and
+/// only reconnects after a transport failure.
 pub struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -87,12 +88,33 @@ impl Conn {
     /// # Errors
     /// I/O failures, closed connections, and unparseable responses.
     pub fn call_traced(&mut self, req: &Request, trace: Option<u64>) -> Result<Value, String> {
+        self.send_traced(req, trace)?;
+        self.recv()
+    }
+
+    /// Writes one request line without waiting for the response —
+    /// for callers that must tell a lost request from a lost reply.
+    ///
+    /// # Errors
+    /// I/O failures.
+    pub(crate) fn send(&mut self, req: &Request) -> Result<(), String> {
+        self.send_traced(req, None)
+    }
+
+    fn send_traced(&mut self, req: &Request, trace: Option<u64>) -> Result<(), String> {
         serde_json::write_to_string(&req.to_value_traced(trace), &mut self.buf);
         self.buf.push('\n');
         self.writer
             .write_all(self.buf.as_bytes())
             .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
+            .map_err(|e| format!("send: {e}"))
+    }
+
+    /// Reads one response line.
+    ///
+    /// # Errors
+    /// I/O failures, closed connections, and unparseable responses.
+    pub(crate) fn recv(&mut self) -> Result<Value, String> {
         let mut line = String::new();
         self.reader
             .read_line(&mut line)

@@ -558,9 +558,9 @@ impl CampaignEngine {
         }
     }
 
-    /// Handles one request. `queue_depth` is the transport's current
-    /// connection backlog, echoed in `STATUS`.
-    pub fn handle(&self, req: &Request, queue_depth: usize) -> Response {
+    /// Handles one request. `connections` is the transport's current
+    /// live-connection count, echoed in `STATUS`.
+    pub fn handle(&self, req: &Request, connections: usize) -> Response {
         match req {
             Request::Hello => Response::Hello {
                 dataset: self.dataset_key.clone(),
@@ -575,7 +575,7 @@ impl CampaignEngine {
                 task,
                 answer,
             } => self.submit_answer(worker, *task, *answer),
-            Request::Status => self.status(queue_depth),
+            Request::Status => self.status(connections),
             Request::Results => Response::Results {
                 labels: self.labels(),
             },
@@ -609,7 +609,7 @@ impl CampaignEngine {
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
-        let outcome = {
+        let (outcome, turn) = {
             let mut core = self.core_lock();
             let Core {
                 driver,
@@ -618,6 +618,14 @@ impl CampaignEngine {
             } = &mut *core;
             let before = driver.epoch();
             let outcome = driver.poll(backend, worker);
+            // A waiting client learns whose poll the schedule needs, so
+            // it can send that worker next instead of guessing.
+            let turn = match outcome {
+                PollOutcome::Wait => driver
+                    .turn_holder()
+                    .map(|wi| driver.external_id(wi).to_owned()),
+                _ => None,
+            };
             if driver.epoch() != before {
                 let tag = match outcome {
                     PollOutcome::Assigned(task) => PollTag::Assigned(task.0),
@@ -635,7 +643,7 @@ impl CampaignEngine {
                     },
                 );
             }
-            outcome
+            (outcome, turn)
         };
         self.stats.update(worker, |s| {
             s.polls += 1;
@@ -645,7 +653,7 @@ impl CampaignEngine {
         });
         match outcome {
             PollOutcome::Assigned(task) => Response::Task(task),
-            PollOutcome::Wait => Response::Wait,
+            PollOutcome::Wait => Response::Wait { turn },
             PollOutcome::Declined { retry } => Response::Declined { retry },
             PollOutcome::Left => Response::Left,
         }
@@ -729,7 +737,7 @@ impl CampaignEngine {
         resp
     }
 
-    fn status(&self, queue_depth: usize) -> Response {
+    fn status(&self, connections: usize) -> Response {
         let mut core = self.core_lock();
         let Core {
             driver,
@@ -754,7 +762,7 @@ impl CampaignEngine {
             answers: driver.answers(),
             accounting: a,
             balanced: a.answers_accepted + a.answers_rejected == a.answers_submitted,
-            queue_depth,
+            connections,
             workers_seen: self.stats.len(),
             journal: journal.as_ref().map(Journal::health),
         }
@@ -907,7 +915,7 @@ mod tests {
                             "unexpected submit response {resp:?}"
                         );
                     }
-                    Response::Wait | Response::Declined { retry: true } => {}
+                    Response::Wait { .. } | Response::Declined { retry: true } => {}
                     Response::Left | Response::Declined { retry: false } => {
                         sims[i] = None;
                         live -= 1;
@@ -923,6 +931,67 @@ mod tests {
         assert_eq!(result.answers, expected.answers);
         assert_eq!(result.spend_cents, expected.spend_cents);
         assert!(result.accounting.balanced());
+    }
+
+    /// Every `wait` names the turn-holder, and a client that always
+    /// polls the named worker next drives the campaign to the
+    /// in-process labels with few wasted polls.
+    #[test]
+    fn waits_name_the_turn_holder() {
+        let ds = table1();
+        let config = quick_config();
+        let expected = icrowd_sim::campaign::run_campaign(&ds, Approach::RandomMV, &config);
+
+        let eng = engine();
+        let mut sims: Vec<_> = ds
+            .spawn_workers(config.seed)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let (mut next, mut polls, mut waits) = (0usize, 0u32, 0u32);
+        while let Some(sim) = sims[next].as_mut() {
+            polls += 1;
+            assert!(polls < 100_000, "following the hints livelocked");
+            let worker = format!("W{}", next + 1);
+            match eng.handle(
+                &Request::RequestTask {
+                    worker: worker.clone(),
+                },
+                0,
+            ) {
+                Response::Task(task) => {
+                    let answer =
+                        icrowd_platform::market::WorkerBehavior::answer(sim, &ds.tasks[task]);
+                    eng.handle(
+                        &Request::SubmitAnswer {
+                            worker,
+                            task,
+                            answer,
+                        },
+                        0,
+                    );
+                }
+                Response::Wait { turn } => {
+                    waits += 1;
+                    let turn = turn.expect("a live schedule names its turn-holder");
+                    next = turn[1..].parse::<usize>().unwrap() - 1;
+                }
+                Response::Declined { retry: true } => {}
+                Response::Left | Response::Declined { retry: false } => {
+                    sims[next] = None;
+                    match sims.iter().position(Option::is_some) {
+                        Some(i) => next = i,
+                        None => break,
+                    }
+                }
+                other => panic!("unexpected poll response {other:?}"),
+            }
+        }
+        assert_eq!(eng.labels(), labels_lines(&expected.labels));
+        assert!(
+            waits * 2 <= polls,
+            "{waits} of {polls} polls waited: the hint should end most waits"
+        );
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   an in-process run at the same seed.
 //! * [`sharded`] — a striped-lock map for per-worker statistics that
 //!   are updated concurrently outside the campaign lock.
-//! * [`server`] — one acceptor thread plus a fixed handler pool fed by
-//!   a bounded channel; a full queue rejects with `BUSY`
+//! * [`server`] — a blocking acceptor and one thread per persistent
+//!   connection; past the live-connection cap it rejects with `BUSY`
 //!   (accept-then-reject backpressure), and shutdown drains in-flight
-//!   connections before finalizing the campaign.
+//!   requests before finalizing the campaign.
 //! * [`recovery`] — crash recovery: replay the write-ahead journal
 //!   (see [`icrowd_platform::journal`]) through a freshly prepared
 //!   engine, verify snapshots and conservation laws, truncate any torn
@@ -30,8 +30,9 @@
 //!   proxy (latency, bandwidth caps, resets, corruption, blackholes)
 //!   interposable between client and server for network-fault testing.
 //! * [`client`] — a minimal blocking protocol client.
-//! * [`loadgen`] — N concurrent simulated workers (rebuilt from the
-//!   server's `HELLO` announcement) driving a campaign to completion,
+//! * [`loadgen`] — N client threads, each on one persistent
+//!   connection, multiplexing the simulated workers (rebuilt from the
+//!   server's `HELLO` announcement) to drive a campaign to completion,
 //!   reporting throughput and p50/p99 latency via `icrowd-obs`.
 
 #![warn(missing_docs)]

@@ -10,12 +10,16 @@
 //! served campaign's consensus byte-identical to `run_campaign` at the
 //! same seed.
 //!
-//! Logical workers sit in a shared dispenser queue; each client thread
-//! pops one, runs one poll cycle (one connection: `REQUEST_TASK`, and
-//! on assignment `SUBMIT_ANSWER`), and returns the worker to the queue
-//! — so any number of threads drives any roster size, and "64
-//! concurrent workers" means 64 real connections in flight, even
-//! though the schedule serializes turns.
+//! Each client thread keeps one persistent connection for its whole
+//! run. Logical workers sit in a shared dispenser; a thread takes one,
+//! runs one poll cycle on its connection (`REQUEST_TASK`, and on
+//! assignment `SUBMIT_ANSWER`), and gives the worker back — so any
+//! number of threads drives any roster size, and "64 concurrent
+//! workers" means 64 real connections in flight, even though the
+//! schedule serializes turns. A `wait` response names the worker the
+//! schedule is waiting on (`"turn":"W7"`); the dispenser hands that
+//! worker to the next free thread instead of the next one in line, and
+//! falls back to first-in-first-out when no hint is given.
 //!
 //! Client-side fault injection covers the misbehaviours a *client* can
 //! produce: duplicate submissions (`dup`) and late submissions
@@ -26,8 +30,9 @@
 //!
 //! The generator survives server restarts: transport failures and
 //! `BUSY` back-pressure retry with bounded exponential backoff plus
-//! jitter, the target address is re-read from `--addr-file` on every
-//! connection (a restarted server binds a fresh ephemeral port), and
+//! jitter on a fresh connection, the target address is re-read from
+//! `--addr-file` on every reconnect (a restarted server binds a fresh
+//! ephemeral port), and
 //! answers are memoized per assignment so a re-submit after a
 //! crash-rewind replays the *identical* answer — the server accepts it
 //! once and rejects the copy as a duplicate, keeping accepted answers
@@ -36,8 +41,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use icrowd_platform::market::WorkerBehavior;
@@ -118,11 +123,12 @@ pub struct LoadgenConfig {
     /// Server address (`host:port`).
     pub addr: String,
     /// Re-read the server address from this file before every
-    /// connection (falls back to [`Self::addr`] while the file is
+    /// (re)connect (falls back to [`Self::addr`] while the file is
     /// missing or empty). A restarted server writes its fresh ephemeral
     /// address here.
     pub addr_file: Option<String>,
-    /// Number of concurrent client threads.
+    /// Number of concurrent client threads, each with one persistent
+    /// connection.
     pub workers: usize,
     /// Think time between a worker's poll cycles, milliseconds.
     pub think_ms: u64,
@@ -213,8 +219,9 @@ struct Logical {
 
 /// How one poll cycle left its worker.
 enum Cycle {
-    /// Work continues; return the worker to the dispenser.
-    Continue { answered: bool },
+    /// Work continues; give the worker back to the dispenser, with the
+    /// turn-holder a `wait` named (as a roster index), if any.
+    Continue { answered: bool, turn: Option<usize> },
     /// The worker is done and the campaign finished.
     Done,
     /// Transient pressure (`BUSY`); back off and retry.
@@ -226,9 +233,102 @@ enum Cycle {
     Retry(String),
 }
 
+/// Where a logical worker is.
+enum Slot<T> {
+    /// In the dispenser, ready for a free thread.
+    Ready(T),
+    /// Checked out by a client thread.
+    Out,
+    /// Gone for good: left the campaign.
+    Retired,
+}
+
+/// What the dispenser hands a free thread.
+enum Take<T> {
+    /// Poll as this worker (roster index, worker).
+    Worker(usize, T),
+    /// Nothing to hand out yet: the named turn-holder, or every live
+    /// worker, is out with other threads.
+    Wait,
+    /// Every worker retired.
+    Finished,
+}
+
+/// The pool of logical workers the client threads share. A hinted
+/// turn-holder goes out first — or, while another thread has it, no one
+/// does, since no other worker's poll can advance the schedule. With no
+/// hint the pool is first-in-first-out.
+struct Dispenser<T> {
+    slots: Vec<Slot<T>>,
+    /// Ready workers in the order they came back.
+    ready: VecDeque<usize>,
+    /// The worker the server last named as turn-holder; cleared once it
+    /// is handed out.
+    turn: Option<usize>,
+    live: usize,
+}
+
+impl<T> Dispenser<T> {
+    fn new(workers: Vec<T>) -> Self {
+        Self {
+            live: workers.len(),
+            ready: (0..workers.len()).collect(),
+            slots: workers.into_iter().map(Slot::Ready).collect(),
+            turn: None,
+        }
+    }
+
+    fn take(&mut self) -> Take<T> {
+        if self.live == 0 {
+            return Take::Finished;
+        }
+        if let Some(t) = self.turn {
+            match self.slots[t] {
+                Slot::Ready(_) => {
+                    self.turn = None;
+                    self.ready.retain(|&i| i != t);
+                    return Take::Worker(t, self.check_out(t));
+                }
+                Slot::Out => return Take::Wait,
+                Slot::Retired => self.turn = None,
+            }
+        }
+        match self.ready.pop_front() {
+            Some(i) => Take::Worker(i, self.check_out(i)),
+            None => Take::Wait,
+        }
+    }
+
+    fn check_out(&mut self, i: usize) -> T {
+        match std::mem::replace(&mut self.slots[i], Slot::Out) {
+            Slot::Ready(worker) => worker,
+            _ => unreachable!("only ready workers are checked out"),
+        }
+    }
+
+    /// Returns a worker; `turn` is the turn-holder its poll was told
+    /// to wait for.
+    fn give_back(&mut self, i: usize, worker: T, turn: Option<usize>) {
+        self.slots[i] = Slot::Ready(worker);
+        self.ready.push_back(i);
+        if let Some(t) = turn.filter(|&t| t < self.slots.len()) {
+            self.turn = Some(t);
+        }
+    }
+
+    fn retire(&mut self, i: usize) {
+        self.slots[i] = Slot::Retired;
+        self.live -= 1;
+        if self.turn == Some(i) {
+            self.turn = None;
+        }
+    }
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Logical>>,
-    live: AtomicUsize,
+    pool: Mutex<Dispenser<Logical>>,
+    /// Signalled whenever a worker comes back or retires.
+    returned: Condvar,
     requests: AtomicU64,
     retries: AtomicU64,
     dups_sent: AtomicU64,
@@ -242,6 +342,37 @@ struct Shared {
 }
 
 impl Shared {
+    fn pool(&self) -> MutexGuard<'_, Dispenser<Logical>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a worker to poll as, waiting one bounded slice for one to
+    /// come back if none is free (the caller re-checks the watchdog and
+    /// the abort flag between slices).
+    fn take(&self) -> Take<Logical> {
+        let mut pool = self.pool();
+        match pool.take() {
+            Take::Wait => {}
+            taken => return taken,
+        }
+        let mut pool = self
+            .returned
+            .wait_timeout(pool, Duration::from_millis(50))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        pool.take()
+    }
+
+    fn give_back(&self, i: usize, worker: Logical, turn: Option<usize>) {
+        self.pool().give_back(i, worker, turn);
+        self.returned.notify_one();
+    }
+
+    fn retire(&self, i: usize) {
+        self.pool().retire(i);
+        self.returned.notify_all();
+    }
+
     fn mark_progress(&self) {
         self.progress_ms
             .store(self.started.elapsed().as_millis() as u64, Ordering::Relaxed);
@@ -325,7 +456,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let dataset = by_name(dataset_key, seed)
         .ok_or_else(|| format!("server announced unknown dataset `{dataset_key}`"))?;
     let dataset = Arc::new(dataset);
-    let roster: VecDeque<Logical> = dataset
+    let roster: Vec<Logical> = dataset
         .spawn_workers(seed)
         .into_iter()
         .enumerate()
@@ -341,8 +472,8 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let roster_size = roster.len();
 
     let shared = Arc::new(Shared {
-        live: AtomicUsize::new(roster.len()),
-        queue: Mutex::new(roster),
+        pool: Mutex::new(Dispenser::new(roster)),
+        returned: Condvar::new(),
         requests: AtomicU64::new(1), // the HELLO
         retries: AtomicU64::new(0),
         dups_sent: AtomicU64::new(0),
@@ -375,12 +506,13 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         return Err(e);
     }
 
-    // Final probe: accounting, labels, optional shutdown. The server
-    // may be mid-restart right now (a crash harness kills it at
-    // arbitrary instants), so the probe rides through transport
+    // Final probe: accounting and labels, then the optional shutdown.
+    // The server may be mid-restart right now (a crash harness kills it
+    // at arbitrary instants), so the probe rides through transport
     // failures the same way the drive loop does: re-resolve the
-    // address, back off, retry whole until the give-up deadline. Every
-    // request in the probe is idempotent, so restarting it is safe.
+    // address, back off, retry until the give-up deadline. STATUS and
+    // RESULTS are idempotent, so retrying them whole is safe; SHUTDOWN
+    // is not, and goes out once, after them.
     let probe_deadline = Instant::now() + Duration::from_millis(config.give_up_ms.max(5_000));
     let mut streak = 0u32;
     let (status, labels) = loop {
@@ -397,6 +529,9 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             }
         }
     };
+    if config.shutdown {
+        shutdown_server(config, probe_deadline, &shared, &mut jitter_rng)?;
+    }
 
     let accepted = status_u64(&status, "accepted");
     let snap = icrowd_obs::snapshot();
@@ -439,30 +574,78 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 }
 
 /// One attempt at the end-of-run probe: connect, fetch STATUS (and
-/// LABELS when requested), then send SHUTDOWN. Any transport failure
-/// aborts the attempt; the caller retries the whole sequence.
+/// RESULTS when requested). Any transport failure aborts the attempt;
+/// the caller retries the whole sequence.
 fn final_probe(config: &LoadgenConfig) -> Result<(Value, Option<String>), String> {
     let mut conn = Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config))?;
     let status = conn.call(&Request::Status)?;
     expect_ok(&status, "status")?;
-    let labels = if config.fetch_labels {
-        let results = conn.call(&Request::Results)?;
-        expect_ok(&results, "results")?;
-        Some(
-            results
-                .get("labels")
-                .and_then(Value::as_str)
-                .ok_or("results carry no labels")?
-                .to_owned(),
-        )
-    } else {
-        None
-    };
-    if config.shutdown {
-        let bye = conn.call(&Request::Shutdown)?;
-        expect_ok(&bye, "shutdown")?;
+    if !config.fetch_labels {
+        return Ok((status, None));
     }
-    Ok((status, labels))
+    let results = conn.call(&Request::Results)?;
+    expect_ok(&results, "results")?;
+    let labels = results
+        .get("labels")
+        .and_then(Value::as_str)
+        .ok_or("results carry no labels")?;
+    Ok((status, Some(labels.to_owned())))
+}
+
+/// STATUS attempts that must all fail before a lost `SHUTDOWN` reply is
+/// taken to mean the server drained. A faulty network can fail a few
+/// probes of a live server; it is very unlikely to fail this many. The
+/// backoff between them spans about 2–3 s, long enough for a crashed
+/// server that is being restarted to come back and answer.
+const DRAIN_CONFIRM_ATTEMPTS: u32 = 12;
+
+/// Sends `SHUTDOWN` until it is known to have landed. A server that got
+/// it drains and can never answer a retry, so a transport error once
+/// the line is written is not retried blindly: if the server still
+/// answers STATUS, the line was lost and goes out again; if it answers
+/// nothing any more, it drained and the reply was what got lost.
+fn shutdown_server(
+    config: &LoadgenConfig,
+    deadline: Instant,
+    shared: &Shared,
+    rng: &mut StdRng,
+) -> Result<(), String> {
+    let mut streak = 0u32;
+    loop {
+        let sent = Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config))
+            .and_then(|mut conn| conn.send(&Request::Shutdown).map(|()| conn));
+        match sent {
+            Ok(mut conn) => match conn.recv() {
+                Ok(bye) if expect_ok(&bye, "shutdown").is_ok() => return Ok(()),
+                _ if !server_answers(config, rng) => return Ok(()),
+                _ => {}
+            },
+            Err(e) if Instant::now() >= deadline => {
+                return Err(format!("shutdown never reached the server: {e}"));
+            }
+            Err(_) => {}
+        }
+        if Instant::now() >= deadline {
+            return Err("server still serving after repeated SHUTDOWN".to_owned());
+        }
+        shared.retries.fetch_add(1, Ordering::Relaxed);
+        icrowd_obs::counter_add("loadgen.retry", 1);
+        backoff_sleep(streak, rng);
+        streak += 1;
+    }
+}
+
+/// Whether the server answers STATUS within
+/// [`DRAIN_CONFIRM_ATTEMPTS`] fresh connections.
+fn server_answers(config: &LoadgenConfig, rng: &mut StdRng) -> bool {
+    (0..DRAIN_CONFIRM_ATTEMPTS).any(|attempt| {
+        if attempt > 0 {
+            backoff_sleep(attempt, rng);
+        }
+        Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config))
+            .and_then(|mut conn| conn.call(&Request::Status))
+            .is_ok_and(|status| expect_ok(&status, "status").is_ok())
+    })
 }
 
 fn status_u64(status: &Value, field: &str) -> u64 {
@@ -514,19 +697,13 @@ fn jitter_rng() -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// One client thread: pop a worker, run one cycle, repeat until the
-/// roster is exhausted (or the run aborts).
+/// One client thread: take a worker, run one cycle on the thread's
+/// connection, repeat until every worker retired (or the run aborts).
 fn drive(shared: &Shared, dataset: &Dataset, config: &LoadgenConfig) {
     let mut retry_streak = 0u32;
     let mut rng = jitter_rng();
-    let queue = |w: Logical| {
-        shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(w);
-    };
-    while shared.live.load(Ordering::SeqCst) > 0 && !shared.abort.load(Ordering::SeqCst) {
+    let mut conn: Option<Conn> = None;
+    while !shared.abort.load(Ordering::SeqCst) {
         if config.give_up_ms > 0 && shared.stalled_for_ms() > config.give_up_ms {
             let last = shared
                 .last_retry
@@ -541,40 +718,34 @@ fn drive(shared: &Shared, dataset: &Dataset, config: &LoadgenConfig) {
             shared.abort.store(true, Ordering::SeqCst);
             return;
         }
-        let popped = shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front();
-        let Some(mut worker) = popped else {
-            // All live workers are checked out by other threads.
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
+        let (i, mut worker) = match shared.take() {
+            Take::Worker(i, worker) => (i, worker),
+            Take::Wait => continue,
+            Take::Finished => return,
         };
-        match cycle(shared, dataset, config, &mut worker) {
-            Cycle::Continue { answered } => {
+        match cycle(shared, dataset, config, &mut worker, &mut conn) {
+            Cycle::Continue { answered, turn } => {
                 retry_streak = 0;
                 if answered {
                     shared.mark_progress();
                 }
-                queue(worker);
+                shared.give_back(i, worker, turn);
                 if answered && config.think_ms > 0 {
                     std::thread::sleep(Duration::from_millis(config.think_ms));
-                } else if !answered {
-                    // Out of turn: yield briefly before polling again.
-                    std::thread::sleep(Duration::from_micros(300));
                 }
             }
             Cycle::Done => {
                 retry_streak = 0;
                 shared.mark_progress();
-                shared.live.fetch_sub(1, Ordering::SeqCst);
+                shared.retire(i);
             }
             res @ (Cycle::Backoff | Cycle::Retry(_)) => {
                 // Transient: BUSY back-pressure, or the transport
-                // dropped (possibly a server restart — the next cycle
-                // re-resolves the address). Exponential backoff with
-                // jitter; the no-progress watchdog bounds the total.
+                // dropped (possibly a server restart). Drop the
+                // connection; the next cycle reconnects, re-resolving
+                // the address. Exponential backoff with jitter; the
+                // no-progress watchdog bounds the total.
+                conn = None;
                 if let Cycle::Retry(e) = res {
                     *shared
                         .last_retry
@@ -584,7 +755,7 @@ fn drive(shared: &Shared, dataset: &Dataset, config: &LoadgenConfig) {
                 retry_streak += 1;
                 shared.retries.fetch_add(1, Ordering::Relaxed);
                 icrowd_obs::counter_add("loadgen.retry", 1);
-                queue(worker);
+                shared.give_back(i, worker, None);
                 backoff_sleep(retry_streak, &mut rng);
             }
         }
@@ -605,26 +776,40 @@ fn retire_probe(conn: &mut Conn, shared: &Shared) -> Cycle {
             if flag("complete") || flag("finished") {
                 Cycle::Done
             } else {
-                Cycle::Continue { answered: false }
+                Cycle::Continue {
+                    answered: false,
+                    turn: None,
+                }
             }
         }
         Err(e) => Cycle::Retry(e),
     }
 }
 
-/// One poll cycle on one connection: request, and on assignment answer
-/// + submit (plus client-fault variations).
+/// The roster index a `wait` response names as turn-holder
+/// (`"turn":"W7"` is index 6).
+fn turn_hint(resp: &Value) -> Option<usize> {
+    let id = resp.get("turn")?.as_str()?.strip_prefix('W')?;
+    id.parse::<usize>().ok()?.checked_sub(1)
+}
+
+/// One poll cycle on the thread's connection (opened first if the last
+/// cycle dropped it): request, and on assignment answer + submit (plus
+/// client-fault variations).
 fn cycle(
     shared: &Shared,
     dataset: &Dataset,
     config: &LoadgenConfig,
     worker: &mut Logical,
+    conn: &mut Option<Conn>,
 ) -> Cycle {
-    let addr = resolve_addr(config);
-    let mut conn = match Conn::open_timeout(addr.as_str(), io_timeout(config)) {
-        Ok(c) => c,
-        Err(e) => return Cycle::Retry(e),
-    };
+    if conn.is_none() {
+        match Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config)) {
+            Ok(c) => *conn = Some(c),
+            Err(e) => return Cycle::Retry(e),
+        }
+    }
+    let conn = conn.as_mut().expect("connected above");
     let req = Request::RequestTask {
         worker: worker.external.clone(),
     };
@@ -653,7 +838,12 @@ fn cycle(
     );
     match kind {
         Some("task") => {}
-        Some("wait") => return Cycle::Continue { answered: false },
+        Some("wait") => {
+            return Cycle::Continue {
+                answered: false,
+                turn: turn_hint(&resp),
+            }
+        }
         Some("busy") => {
             icrowd_obs::counter_add("loadgen.busy", 1);
             return Cycle::Backoff;
@@ -663,12 +853,15 @@ fn cycle(
         Some("error") => return Cycle::Retry(format!("server error: {resp:?}")),
         Some("declined") => {
             return if resp.get("retry").and_then(Value::as_bool) == Some(true) {
-                Cycle::Continue { answered: false }
+                Cycle::Continue {
+                    answered: false,
+                    turn: None,
+                }
             } else {
-                retire_probe(&mut conn, shared)
+                retire_probe(conn, shared)
             }
         }
-        Some("left") => return retire_probe(&mut conn, shared),
+        Some("left") => return retire_probe(conn, shared),
         // A response that parses but doesn't match the grammar is
         // transport damage on this connection (a corrupting network can
         // garble a line into different-but-valid JSON), not a proven
@@ -738,14 +931,20 @@ fn cycle(
         let _ = conn.call(&submit);
     }
     match resp.get("result").and_then(Value::as_str) {
-        Some("stalled") => retire_probe(&mut conn, shared),
+        Some("stalled") => retire_probe(conn, shared),
         Some("rejected" | "dropped") => {
             // The answer did not enter consensus; the next assignment
             // of this task draws fresh, as the in-process harness does.
             worker.answered.remove(&task.0);
-            Cycle::Continue { answered: true }
+            Cycle::Continue {
+                answered: true,
+                turn: None,
+            }
         }
-        Some("accepted" | "deferred") => Cycle::Continue { answered: true },
+        Some("accepted" | "deferred") => Cycle::Continue {
+            answered: true,
+            turn: None,
+        },
         _ => Cycle::Retry(format!("malformed submit response {resp:?}")),
     }
 }
@@ -763,6 +962,52 @@ mod tests {
         assert_eq!(f.seed, 9);
         let f = ClientFaultConfig::parse("late=0.5").unwrap();
         assert_eq!(f.late_ms, 10, "default delay");
+    }
+
+    #[test]
+    fn dispenser_hands_out_the_named_turn_holder_first() {
+        let mut d = Dispenser::new(vec!["W1", "W2", "W3", "W4"]);
+        let taken = |d: &mut Dispenser<&'static str>| match d.take() {
+            Take::Worker(i, w) => Some((i, w)),
+            Take::Wait => None,
+            Take::Finished => panic!("workers are still live"),
+        };
+        // No hint: first in, first out.
+        assert_eq!(taken(&mut d), Some((0, "W1")));
+        // W1's poll was told to wait for W3: W3 goes next, ahead of W2.
+        d.give_back(0, "W1", Some(2));
+        assert_eq!(taken(&mut d), Some((2, "W3")));
+        // The hint is spent: back to first in, first out.
+        assert_eq!(taken(&mut d), Some((1, "W2")));
+        // Named again while another thread has it out: no one else goes
+        // until it comes back, then it goes first.
+        d.give_back(1, "W2", Some(2));
+        assert_eq!(taken(&mut d), None);
+        d.give_back(2, "W3", None);
+        assert_eq!(taken(&mut d), Some((2, "W3")));
+        // A hint naming an unknown or retired worker is dropped.
+        d.retire(2);
+        assert_eq!(taken(&mut d), Some((3, "W4")));
+        d.give_back(3, "W4", Some(99));
+        assert_eq!(taken(&mut d), Some((0, "W1")));
+        d.give_back(0, "W1", Some(2));
+        assert_eq!(taken(&mut d), Some((1, "W2")));
+        // Every worker retired: the run is over.
+        d.retire(1);
+        assert_eq!(taken(&mut d), Some((3, "W4")));
+        d.retire(3);
+        assert_eq!(taken(&mut d), Some((0, "W1")));
+        d.retire(0);
+        assert!(matches!(d.take(), Take::Finished));
+    }
+
+    #[test]
+    fn turn_hints_parse_to_roster_indices() {
+        let wait = |turn: &str| serde_json::from_str::<Value>(turn).unwrap();
+        assert_eq!(turn_hint(&wait(r#"{"type":"wait","turn":"W7"}"#)), Some(6));
+        assert_eq!(turn_hint(&wait(r#"{"type":"wait"}"#)), None);
+        assert_eq!(turn_hint(&wait(r#"{"type":"wait","turn":"W0"}"#)), None);
+        assert_eq!(turn_hint(&wait(r#"{"type":"wait","turn":"X7"}"#)), None);
     }
 
     // Regression: spec parsers return errors instead of panicking on

@@ -8,8 +8,8 @@
 //! <- {"ok":true,"type":"hello","dataset":"table1","seed":42,
 //!     "workers":5,"tasks":12,"approach":"iCrowd"}
 //! -> {"op":"REQUEST_TASK","worker":"W1"}
-//! <- {"ok":true,"type":"task","task":7}          (or "wait" /
-//!     "declined" {"retry":bool} / "left")
+//! <- {"ok":true,"type":"task","task":7}          (or "wait"
+//!     {"turn":"W4"} / "declined" {"retry":bool} / "left")
 //! -> {"op":"SUBMIT_ANSWER","worker":"W1","task":7,"answer":1}
 //! <- {"ok":true,"type":"submit","result":"accepted"}
 //!     (result: accepted | rejected (+"reason") | dropped | stalled |
@@ -223,7 +223,13 @@ pub enum Response {
     /// The worker was assigned (or re-issued) this task.
     Task(TaskId),
     /// Another worker's turn is ahead; poll again.
-    Wait,
+    Wait {
+        /// The worker the schedule is waiting on (`"W4"`), so a client
+        /// multiplexing many workers can poll that one next. `None`
+        /// (the key is then absent) when no worker's turn heads the
+        /// schedule.
+        turn: Option<String>,
+    },
     /// The server had no task for the worker.
     Declined {
         /// Whether a retry turn is queued.
@@ -251,8 +257,8 @@ pub enum Response {
         /// The continuous conservation law
         /// `accepted + rejected == submitted`.
         balanced: bool,
-        /// Connections waiting in the handler queue.
-        queue_depth: usize,
+        /// Client connections the transport is serving right now.
+        connections: usize,
         /// Distinct workers the serving layer has seen.
         workers_seen: usize,
         /// Journal health; `None` when no journal is configured (and
@@ -272,7 +278,7 @@ pub enum Response {
     },
     /// Shutdown acknowledged.
     Bye,
-    /// Handler queue full; retry later.
+    /// Connection cap reached; retry later.
     Busy,
     /// Request-level failure.
     Error {
@@ -312,7 +318,13 @@ impl Response {
                 "approach": approach,
             }),
             Response::Task(task) => json!({"ok": true, "type": "task", "task": task.0}),
-            Response::Wait => json!({"ok": true, "type": "wait"}),
+            Response::Wait { turn } => {
+                let mut v = json!({"ok": true, "type": "wait"});
+                if let (Some(turn), Value::Object(o)) = (turn, &mut v) {
+                    o.push(("turn".into(), json!(turn.as_str())));
+                }
+                v
+            }
             Response::Declined { retry } => {
                 json!({"ok": true, "type": "declined", "retry": retry})
             }
@@ -330,7 +342,7 @@ impl Response {
                 answers,
                 accounting: a,
                 balanced,
-                queue_depth,
+                connections,
                 workers_seen,
                 journal,
             } => {
@@ -350,7 +362,7 @@ impl Response {
                     "answers": answers,
                     "accounting": accounting,
                     "balanced": balanced,
-                    "queue_depth": queue_depth,
+                    "connections": connections,
                     "workers_seen": workers_seen,
                 });
                 if let (Some(j), Value::Object(o)) = (journal, &mut v) {
@@ -507,6 +519,15 @@ mod tests {
         assert_eq!(v["result"].as_str(), Some("rejected"));
         assert_eq!(v["reason"].as_str(), Some("duplicate"));
 
+        let line = response_line(&Response::Wait {
+            turn: Some("W7".into()),
+        });
+        let v: Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(v["type"].as_str(), Some("wait"));
+        assert_eq!(v["turn"].as_str(), Some("W7"));
+        let line = response_line(&Response::Wait { turn: None });
+        assert!(!line.contains("turn"), "no turn holder, no key: {line}");
+
         let v: Value = serde_json::from_str(&response_line(&Response::Busy)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(false));
         assert_eq!(v["type"].as_str(), Some("busy"));
@@ -520,7 +541,7 @@ mod tests {
             answers: 0,
             accounting: MarketAccounting::default(),
             balanced: true,
-            queue_depth: 0,
+            connections: 0,
             workers_seen: 0,
             journal: None,
         };
@@ -536,7 +557,7 @@ mod tests {
             answers: 0,
             accounting: MarketAccounting::default(),
             balanced: true,
-            queue_depth: 0,
+            connections: 0,
             workers_seen: 0,
             journal: Some(JournalHealth {
                 state: "degraded",
@@ -562,7 +583,7 @@ mod tests {
     #[test]
     fn degraded_flag_stamps_every_response_type() {
         for resp in [
-            Response::Wait,
+            Response::Wait { turn: None },
             Response::Task(TaskId(3)),
             Response::Bye,
             Response::Error {
@@ -584,9 +605,12 @@ mod tests {
     #[test]
     fn encode_line_reuses_the_buffer() {
         let mut buf = String::new();
-        Response::Wait.encode_line(&mut buf);
+        let wait = Response::Wait {
+            turn: Some("W2".into()),
+        };
+        wait.encode_line(&mut buf);
         let first = buf.clone();
-        Response::Wait.encode_line(&mut buf);
+        wait.encode_line(&mut buf);
         assert_eq!(buf, first, "encode clears before writing");
         assert!(buf.ends_with('\n'));
     }

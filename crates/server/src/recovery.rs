@@ -228,7 +228,7 @@ fn apply(engine: &CampaignEngine, op: &JournalOp) -> Result<(), String> {
             );
             let got = match resp {
                 Response::Task(task) => PollTag::Assigned(task.0),
-                Response::Wait => PollTag::Wait,
+                Response::Wait { .. } => PollTag::Wait,
                 Response::Declined { retry: true } => PollTag::DeclinedRetry,
                 Response::Declined { retry: false } => PollTag::DeclinedLeft,
                 Response::Left => PollTag::Left,
@@ -341,7 +341,7 @@ mod tests {
                                 0,
                             );
                         }
-                        Response::Wait | Response::Declined { retry: true } => live = true,
+                        Response::Wait { .. } | Response::Declined { retry: true } => live = true,
                         _ => sims[i] = None,
                     }
                 }

@@ -1,28 +1,33 @@
-//! The TCP transport: one acceptor, a fixed handler pool, a bounded
-//! hand-off queue.
+//! The TCP transport: a blocking acceptor and one thread per
+//! connection.
 //!
-//! The acceptor thread accepts connections and `try_send`s them into a
-//! bounded crossbeam channel; when the queue is full it writes a `BUSY`
-//! line and closes (accept-then-reject backpressure — the client gets
-//! an explicit signal instead of an opaque connection reset). A fixed
-//! pool of handler threads serves queued connections to EOF, one line
-//! per request.
+//! The acceptor blocks in `accept` and hands every connection its own
+//! thread, which serves request lines until the client closes. Clients
+//! keep one connection for a whole run, so a fixed handler pool would
+//! let the first few clients pin every handler while the rest — among
+//! them, sooner or later, the worker whose turn the schedule is
+//! waiting on — queue forever behind them. A thread per connection
+//! rules that out without an event loop.
 //!
-//! Shutdown (the `SHUTDOWN` op, or [`ServerHandle::shutdown`]) flips a
-//! flag: the acceptor stops accepting and drops its sender, handlers
-//! drain whatever is already queued (the channel hands out buffered
-//! connections after disconnect), in-flight connections are flushed,
-//! and [`ServerHandle::join`] finalizes the campaign into its scored
-//! result.
+//! Back-pressure is one cap on live connections: once
+//! [`ServeConfig::max_conns`] are open, the acceptor writes a `BUSY`
+//! line and closes (the client gets an explicit signal instead of an
+//! opaque reset).
+//!
+//! Shutdown (the `SHUTDOWN` op, a fail-stop drain, or
+//! [`ServerHandle::shutdown`]) sets a flag and wakes the acceptor with
+//! a self-connect. The acceptor closes the listener and joins the
+//! connection threads: each finishes the request in hand and drops its
+//! connection at the next read. [`ServerHandle::join`] then finalizes
+//! the campaign into its scored result.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use icrowd_sim::campaign::CampaignResult;
 
 use crate::engine::CampaignEngine;
@@ -34,10 +39,10 @@ pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (the bound
     /// address is available via [`ServerHandle::addr`]).
     pub addr: String,
-    /// Handler pool size.
-    pub handlers: usize,
-    /// Bounded connection queue capacity; overflow is rejected `BUSY`.
-    pub queue_cap: usize,
+    /// Live-connection cap. Every connection is served by its own
+    /// thread; one arriving while this many are open gets `BUSY` and
+    /// is closed. It must admit every persistent client plus probes.
+    pub max_conns: usize,
     /// Evict a connection that has not completed a request line for
     /// this long (slow-loris / stalled-client guard). `0` disables
     /// eviction.
@@ -55,8 +60,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            handlers: 4,
-            queue_cap: 64,
+            max_conns: 256,
             idle_timeout_ms: 10_000,
             metrics_every_ms: 0,
             metrics_out: None,
@@ -64,12 +68,49 @@ impl Default for ServeConfig {
     }
 }
 
+/// What the acceptor and the connection threads share.
+struct Transport {
+    /// Where a self-connect reaches the listener.
+    wake_addr: SocketAddr,
+    shutdown: AtomicBool,
+    /// Connections being served right now.
+    live: AtomicUsize,
+}
+
+impl Transport {
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Starts the drain and wakes the acceptor out of its blocking
+    /// `accept`: it re-checks the flag after every connection, so a
+    /// self-connect is enough. Returns whether this call started the
+    /// drain (later calls are no-ops).
+    fn drain(&self) -> bool {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        true
+    }
+}
+
+/// Decrements the live-connection count when a connection thread ends,
+/// however it ends.
+struct LiveGuard(Arc<Transport>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        let live = self.0.live.fetch_sub(1, Ordering::SeqCst) - 1;
+        icrowd_obs::gauge_set("serve.connections", live as f64);
+    }
+}
+
 /// A running server; join it to collect the campaign result.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    transport: Arc<Transport>,
     acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
     emitter: Option<JoinHandle<()>>,
     engine: Arc<CampaignEngine>,
 }
@@ -83,7 +124,15 @@ impl ServerHandle {
     /// Initiates graceful drain (idempotent; the `SHUTDOWN` op does the
     /// same through the wire).
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.transport.drain();
+    }
+
+    /// Whether the drain has started — a `SHUTDOWN` op arrived (its
+    /// reply is written only after this turns true), a fail-stop
+    /// tripped, or [`Self::shutdown`] was called. A harness whose
+    /// client lost the `SHUTDOWN` reply checks here that it landed.
+    pub fn is_draining(&self) -> bool {
+        self.transport.draining()
     }
 
     /// Blocks until the server drains (a `SHUTDOWN` op arrives or
@@ -92,18 +141,9 @@ impl ServerHandle {
     /// propagated — the campaign result is still recoverable from the
     /// engine.
     pub fn join(self) -> CampaignResult {
-        if self.acceptor.join().is_err() {
-            icrowd_obs::counter_add("serve.thread_panic", 1);
-        }
-        for h in self.handlers {
-            if h.join().is_err() {
-                icrowd_obs::counter_add("serve.thread_panic", 1);
-            }
-        }
+        join_counted(self.acceptor);
         if let Some(e) = self.emitter {
-            if e.join().is_err() {
-                icrowd_obs::counter_add("serve.thread_panic", 1);
-            }
+            join_counted(e);
         }
         // All threads are joined, so their engine refs are dropped;
         // brief retries cover the unwinder still releasing a clone.
@@ -117,49 +157,55 @@ impl ServerHandle {
                 }
             }
         }
-        unreachable!("handlers hold no engine refs after join")
+        unreachable!("connection threads hold no engine refs after join")
+    }
+}
+
+/// Joins a transport thread, counting (not propagating) a panic.
+fn join_counted(handle: JoinHandle<()>) {
+    if handle.join().is_err() {
+        icrowd_obs::counter_add("serve.thread_panic", 1);
     }
 }
 
 /// Starts serving `engine` per `config`. Returns once the listener is
-/// bound; the campaign runs on the handler threads until shutdown.
+/// bound; the campaign runs on the connection threads until shutdown.
 ///
 /// # Errors
 /// Propagates socket errors from binding the listener.
 pub fn serve(engine: CampaignEngine, config: &ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let wake_ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let transport = Arc::new(Transport {
+        wake_addr: SocketAddr::new(wake_ip, addr.port()),
+        shutdown: AtomicBool::new(false),
+        live: AtomicUsize::new(0),
+    });
     let engine = Arc::new(engine);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = bounded::<TcpStream>(config.queue_cap.max(1));
 
     let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        thread::spawn(move || acceptor_loop(&listener, &tx, &shutdown))
+        let transport = Arc::clone(&transport);
+        let engine = Arc::clone(&engine);
+        let idle_timeout = Duration::from_millis(config.idle_timeout_ms);
+        let max_conns = config.max_conns.max(1);
+        thread::spawn(move || acceptor_loop(listener, &transport, &engine, max_conns, idle_timeout))
     };
-    let idle_timeout = Duration::from_millis(config.idle_timeout_ms);
-    let handlers = (0..config.handlers.max(1))
-        .map(|_| {
-            let rx = rx.clone();
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || handler_loop(&rx, &engine, &shutdown, idle_timeout))
-        })
-        .collect();
-    drop(rx);
     let emitter = (config.metrics_every_ms > 0).then(|| {
-        let shutdown = Arc::clone(&shutdown);
+        let transport = Arc::clone(&transport);
         let every = Duration::from_millis(config.metrics_every_ms);
         let out = config.metrics_out.clone();
-        thread::spawn(move || metrics_emitter_loop(&shutdown, every, out.as_deref()))
+        thread::spawn(move || metrics_emitter_loop(&transport.shutdown, every, out.as_deref()))
     });
 
     Ok(ServerHandle {
         addr,
-        shutdown,
+        transport,
         acceptor,
-        handlers,
         emitter,
         engine,
     })
@@ -207,47 +253,64 @@ fn metrics_emitter_loop(shutdown: &AtomicBool, every: Duration, out: Option<&str
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, tx: &Sender<TcpStream>, shutdown: &AtomicBool) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return; // dropping tx lets handlers drain the queue and exit
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _span = icrowd_obs::span!("serve.accept");
-                icrowd_obs::counter_add("serve.conn_accepted", 1);
-                match tx.try_send(stream) {
-                    Ok(()) => {
-                        icrowd_obs::gauge_set("serve.queue_depth", tx.len() as f64);
-                    }
-                    Err(TrySendError::Full(mut stream)) => {
-                        icrowd_obs::counter_add("serve.conn_busy", 1);
-                        let line = crate::protocol::response_line(&Response::Busy);
-                        let _ = stream.write_all(line.as_bytes());
-                        // closed on drop — accept-then-reject backpressure
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn handler_loop(
-    rx: &Receiver<TcpStream>,
-    engine: &CampaignEngine,
-    shutdown: &AtomicBool,
+/// Accepts until the drain starts, one thread per connection; then
+/// closes the listener and joins every connection thread.
+fn acceptor_loop(
+    listener: TcpListener,
+    transport: &Arc<Transport>,
+    engine: &Arc<CampaignEngine>,
+    max_conns: usize,
     idle_timeout: Duration,
 ) {
-    // recv keeps returning buffered connections after the acceptor
-    // disconnects — that is the drain: everything accepted is served.
-    while let Ok(stream) = rx.recv() {
-        icrowd_obs::gauge_set("serve.queue_depth", rx.len() as f64);
-        serve_connection(stream, engine, rx, shutdown, idle_timeout);
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    for stream in listener.incoming() {
+        if transport.draining() {
+            break; // the wake-up self-connect, or a late client
+        }
+        let mut stream = match stream {
+            Ok(stream) => stream,
+            Err(_) => {
+                // Transient (aborted handshake, fd exhaustion): keep
+                // listening, without spinning on a persistent error.
+                icrowd_obs::counter_add("serve.accept_error", 1);
+                thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        let _span = icrowd_obs::span!("serve.accept");
+        icrowd_obs::counter_add("serve.conn_accepted", 1);
+        // Reap connection threads that already ended.
+        let mut i = 0;
+        while i < conns.len() {
+            if conns[i].is_finished() {
+                join_counted(conns.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        if transport.live.load(Ordering::SeqCst) >= max_conns {
+            icrowd_obs::counter_add("serve.conn_busy", 1);
+            let line = crate::protocol::response_line(&Response::Busy);
+            let _ = stream.write_all(line.as_bytes());
+            continue; // closed on drop — accept-then-reject back-pressure
+        }
+        let live = transport.live.fetch_add(1, Ordering::SeqCst) + 1;
+        icrowd_obs::gauge_set("serve.connections", live as f64);
+        let guard = LiveGuard(Arc::clone(transport));
+        let engine = Arc::clone(engine);
+        let spawned = thread::Builder::new()
+            .name("icrowd-conn".to_owned())
+            .spawn(move || serve_connection(stream, &engine, &guard.0, idle_timeout));
+        match spawned {
+            Ok(handle) => conns.push(handle),
+            // The closure (stream and guard) is dropped: the client
+            // sees its connection close and retries.
+            Err(_) => icrowd_obs::counter_add("serve.spawn_error", 1),
+        }
+    }
+    drop(listener); // new clients are refused from here on
+    for handle in conns {
+        join_counted(handle);
     }
 }
 
@@ -268,7 +331,7 @@ enum LineRead {
 fn read_deadline_line(
     stream: &mut TcpStream,
     acc: &mut Vec<u8>,
-    shutdown: &AtomicBool,
+    transport: &Transport,
     idle_timeout: Duration,
 ) -> LineRead {
     let deadline_start = Instant::now();
@@ -286,7 +349,7 @@ fn read_deadline_line(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) {
+                if transport.draining() {
                     return LineRead::ShuttingDown; // drain: drop idle connections
                 }
                 if !idle_timeout.is_zero() && deadline_start.elapsed() >= idle_timeout {
@@ -299,21 +362,20 @@ fn read_deadline_line(
     }
 }
 
-/// Serves one connection to EOF (or shutdown, or idle eviction).
-/// Errors drop the connection; the protocol is stateless per line, so
-/// clients just reconnect.
+/// Serves one connection until the client closes it, the drain
+/// starts, or the idle deadline evicts it. Errors drop the connection;
+/// the protocol is stateless per line, so clients just reconnect.
 fn serve_connection(
     mut stream: TcpStream,
     engine: &CampaignEngine,
-    rx: &Receiver<TcpStream>,
-    shutdown: &AtomicBool,
+    transport: &Transport,
     idle_timeout: Duration,
 ) {
     let durability = engine.durability();
     let _ = stream.set_nodelay(true);
-    // A finite read timeout lets the handler notice shutdown and the
+    // A finite read timeout lets the thread notice the drain and the
     // idle deadline while parked on a quiet connection; a write
-    // deadline keeps a non-draining client from wedging the handler.
+    // deadline keeps a non-draining client from wedging it.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut writer = match stream.try_clone() {
@@ -323,7 +385,7 @@ fn serve_connection(
     let mut acc: Vec<u8> = Vec::new();
     let mut out = String::new();
     loop {
-        let line = match read_deadline_line(&mut stream, &mut acc, shutdown, idle_timeout) {
+        let line = match read_deadline_line(&mut stream, &mut acc, transport, idle_timeout) {
             LineRead::Line(line) => line,
             LineRead::Evicted => {
                 icrowd_obs::counter_add("serve.conn_evicted", 1);
@@ -337,17 +399,25 @@ fn serve_connection(
             }
             LineRead::Eof | LineRead::ShuttingDown | LineRead::Error => return,
         };
+        // A busy persistent client never idles long enough to see the
+        // drain at a read tick; stop serving it at its next line.
+        if transport.draining() {
+            return;
+        }
         if line.trim().is_empty() {
             continue;
         }
+        let connections = transport.live.load(Ordering::SeqCst);
         let resp = match Request::parse_with_trace(&line) {
             Ok((Request::Shutdown, _)) => {
-                let resp = engine.handle(&Request::Shutdown, rx.len());
+                let resp = engine.handle(&Request::Shutdown, connections);
+                // Drain before replying: a client that reads `bye`
+                // knows the drain has started.
+                transport.drain();
                 out.clear();
                 resp.encode_line_flagged(durability.degraded(), &mut out);
                 let _ = writer.write_all(out.as_bytes());
                 let _ = writer.flush();
-                shutdown.store(true, Ordering::SeqCst);
                 return;
             }
             // METRICS is transport-level: it scrapes the telemetry
@@ -369,7 +439,7 @@ fn serve_connection(
                         _ => "serve.rpc.other",
                     },
                 );
-                engine.handle(&req, rx.len())
+                engine.handle(&req, connections)
             }
             Err(message) => Response::Error { message },
         };
@@ -386,7 +456,7 @@ fn serve_connection(
         // Fail-stop: a journal error under the fail-stop policy drains
         // the server exactly like a SHUTDOWN op — the response that
         // carried the refusal is already flushed.
-        if durability.fail_stopped() && !shutdown.swap(true, Ordering::SeqCst) {
+        if durability.fail_stopped() && transport.drain() {
             icrowd_obs::counter_add("serve.fail_stop_drain", 1);
         }
     }

@@ -1,64 +1,63 @@
-//! The Appendix-A deployment loop, demonstrated in concurrent mode:
-//! worker threads fire ExternalQuestion requests at a single-threaded
-//! iCrowd server over channels, exactly like AMT callbacks hitting the
-//! paper's web server. Prints the event flow and the payment ledger.
+//! The Appendix-A deployment loop over real sockets: iCrowd's
+//! ExternalQuestion server listens on TCP, and five client threads —
+//! each on one persistent connection — bring the simulated AMT workers
+//! to it, exactly like AMT callbacks hitting the paper's web server.
+//! Prints the answer flow, the payment books and the final accuracy.
 //!
 //! ```sh
 //! cargo run --release --example amt_server
 //! ```
 
-use icrowd::core::{ICrowdConfig, WarmupConfig};
-use icrowd::platform::concurrent::run_concurrent;
-use icrowd::platform::market::WorkerBehavior;
-use icrowd::platform::ExternalQuestionServer;
-use icrowd::{AssignStrategy, ICrowdBuilder};
+use icrowd::AssignStrategy;
+use icrowd_serve::{run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig};
+use icrowd_sim::campaign::{Approach, CampaignConfig, MetricChoice};
 use icrowd_sim::datasets::table1::table1;
-use icrowd_text::{JaccardSimilarity, Tokenizer};
 
 fn main() {
-    let dataset = table1();
-    let metric = JaccardSimilarity::new(&dataset.tasks, &Tokenizer::keeping_stopwords());
-    let mut server = ICrowdBuilder::new(dataset.tasks.clone())
-        .config(ICrowdConfig {
-            similarity_threshold: 0.5,
-            warmup: WarmupConfig {
-                num_qualification: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .strategy(AssignStrategy::Adapt)
-        .metric(&metric)
-        .build();
+    let mut config = CampaignConfig {
+        metric: MetricChoice::Jaccard,
+        seed: 11,
+        ..Default::default()
+    };
+    config.icrowd.similarity_threshold = 0.5;
+    config.icrowd.warmup.num_qualification = 3;
+    let engine = CampaignEngine::new(
+        "table1",
+        table1(),
+        Approach::ICrowd(AssignStrategy::Adapt),
+        config,
+    );
+    let handle = serve(engine, &ServeConfig::default()).expect("bind an ephemeral port");
+    println!("ExternalQuestion server listening on {}", handle.addr());
 
-    // Five worker threads hammer the server concurrently.
-    let behaviors: Vec<Box<dyn WorkerBehavior + Send>> = dataset
-        .spawn_workers(11)
-        .into_iter()
-        .map(|w| Box::new(w) as Box<dyn WorkerBehavior + Send>)
-        .collect();
+    println!("driving the campaign from 5 client threads...");
+    let report = run_loadgen(&LoadgenConfig {
+        addr: handle.addr().to_string(),
+        workers: 5,
+        ..Default::default()
+    })
+    .expect("the campaign runs to the end");
+    // The load generator sent SHUTDOWN; the server drains and scores.
+    let result = handle.join();
 
-    println!("starting the concurrent ExternalQuestion loop with 5 worker threads...");
-    let outcome = run_concurrent(&dataset.tasks, &mut server, behaviors, 30);
     println!(
-        "collected {} answers; per-worker: {:?}",
-        outcome.answers, outcome.per_worker
+        "{} requests for {} accepted answers ({:.0} answers/s)",
+        report.requests, report.accepted, report.throughput
+    );
+    let a = result.accounting;
+    println!(
+        "answers: submitted {} accepted {} rejected {} paid {}; spend {} cents; balanced {}",
+        a.answers_submitted,
+        a.answers_accepted,
+        a.answers_rejected,
+        a.answers_paid,
+        result.spend_cents,
+        a.balanced()
     );
     println!(
-        "campaign complete: {} (declined requests: {}, performance tests: {})",
-        server.is_complete(),
-        server.declined_requests(),
-        server.test_assignments()
-    );
-
-    let results = server.results();
-    let correct = dataset
-        .tasks
-        .iter()
-        .filter(|t| results.get(&t.id) == t.ground_truth.as_ref())
-        .count();
-    println!(
-        "final accuracy: {correct}/{} microtasks",
-        dataset.tasks.len()
+        "campaign complete: {}; final accuracy {:.3} over {} labels",
+        result.completed,
+        result.overall,
+        result.labels.len()
     );
 }

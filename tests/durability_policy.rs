@@ -56,7 +56,7 @@ fn drive_to_end(eng: &CampaignEngine, dataset: &Dataset, seed: u64) {
                         0,
                     );
                 }
-                Response::Wait | Response::Declined { retry: true } => {}
+                Response::Wait { .. } | Response::Declined { retry: true } => {}
                 Response::Left | Response::Declined { retry: false } => {
                     sims[i] = None;
                     live -= 1;

@@ -5,12 +5,13 @@
 //! seed.
 
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use icrowd::AssignStrategy;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{client, run_loadgen, serve, CampaignEngine, Conn, LoadgenConfig, ServeConfig};
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
-use icrowd_sim::datasets::table1;
+use icrowd_sim::datasets::{table1, yahooqa};
 use serde_json::Value;
 
 /// A fast campaign configuration (table1, Jaccard, 3 gold tasks).
@@ -24,14 +25,13 @@ fn quick_config() -> CampaignConfig {
     config
 }
 
-fn start(approach: Approach, handlers: usize, queue_cap: usize) -> icrowd_serve::ServerHandle {
+fn start(approach: Approach, max_conns: usize) -> icrowd_serve::ServerHandle {
     let engine = CampaignEngine::new("table1", table1(), approach, quick_config());
     serve(
         engine,
         &ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            handlers,
-            queue_cap,
+            max_conns,
             ..Default::default()
         },
     )
@@ -46,7 +46,7 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
     let approach = Approach::ICrowd(AssignStrategy::Adapt);
     let expected = run_campaign(&table1(), approach, &quick_config());
 
-    let handle = start(approach, 4, 32);
+    let handle = start(approach, 32);
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
         workers: 8,
@@ -79,7 +79,7 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
 /// would show up as `balanced == false` — the double-payment detector).
 #[test]
 fn duplicate_submission_race_settles_exactly_once() {
-    let handle = start(Approach::RandomMV, 4, 32);
+    let handle = start(Approach::RandomMV, 32);
     let addr = handle.addr().to_string();
 
     // Find the worker whose turn is first and get her assignment.
@@ -159,39 +159,116 @@ fn duplicate_submission_race_settles_exactly_once() {
     assert!(result.accounting.balanced(), "no double payment at drain");
 }
 
-/// Backpressure: with one handler pinned by an idle connection and the
-/// queue full, the acceptor rejects with an explicit `BUSY` line
-/// instead of hanging or resetting.
+/// Backpressure: once the live-connection cap is reached, the acceptor
+/// rejects the next connection with an explicit `BUSY` line instead of
+/// hanging or resetting, and admits again once a connection closes.
 #[test]
 fn overloaded_server_rejects_with_busy() {
-    let handle = start(Approach::RandomMV, 1, 1);
+    let handle = start(Approach::RandomMV, 2);
     let addr = handle.addr().to_string();
 
-    // Pin the only handler: a round-trip guarantees it owns conn1.
+    // Two live connections fill the cap; a round-trip on each proves
+    // its thread is serving it.
     let mut conn1 = Conn::open(addr.as_str()).expect("conn1");
     conn1.call(&Request::Hello).expect("hello");
-    // Fill the queue with an idle connection the handler can't reach.
-    let _conn2 = Conn::open(addr.as_str()).expect("conn2");
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    // Overflow: the acceptor must answer BUSY and close.
+    let mut conn2 = Conn::open(addr.as_str()).expect("conn2");
+    conn2.call(&Request::Hello).expect("hello");
+    // Over the cap: the acceptor must answer BUSY and close.
     let mut conn3 = Conn::open(addr.as_str()).expect("conn3");
     let v = conn3.call(&Request::Hello).expect("busy line");
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v:?}");
     assert_eq!(v.get("type").and_then(Value::as_str), Some("busy"), "{v:?}");
 
-    // The pinned handler still serves its connection.
-    let v = conn1.call(&Request::Status).expect("status on pinned conn");
+    // The admitted connections keep being served, and report the cap.
+    let v = conn1.call(&Request::Status).expect("status on a live conn");
     assert_eq!(v.get("type").and_then(Value::as_str), Some("status"));
+    assert_eq!(v["connections"].as_u64(), Some(2), "{v:?}");
+
+    // Closing one frees a slot.
+    drop(conn2);
+    let admitted = (0..100).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        let mut conn = Conn::open(addr.as_str()).expect("connect");
+        conn.call(&Request::Hello)
+            .is_ok_and(|v| v.get("type").and_then(Value::as_str) == Some("hello"))
+    });
+    assert!(admitted, "a freed slot was never reused");
 
     handle.shutdown();
     let _ = handle.join();
+}
+
+/// Drain with persistent clients: idle connections stay open and the
+/// acceptor sits blocked in `accept`, yet `join` returns promptly after
+/// `SHUTDOWN` — the self-connect wakes the acceptor and every idle
+/// connection thread notices the drain at its next read tick.
+#[test]
+fn join_returns_promptly_with_idle_persistent_connections() {
+    let handle = start(Approach::RandomMV, 32);
+    let addr = handle.addr().to_string();
+    let idle: Vec<Conn> = (0..4)
+        .map(|_| {
+            let mut conn = Conn::open(addr.as_str()).expect("connect");
+            conn.call(&Request::Hello).expect("hello");
+            conn
+        })
+        .collect();
+    // Let the acceptor go back to blocking in accept.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut conn = Conn::open(addr.as_str()).expect("connect");
+    let bye = conn.call(&Request::Shutdown).expect("bye");
+    assert_eq!(bye["type"].as_str(), Some("bye"), "{bye:?}");
+    assert!(handle.is_draining(), "a `bye` reply means the drain began");
+    let started = Instant::now();
+    let result = handle.join();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "join took {waited:?} with idle persistent connections open"
+    );
+    assert!(result.accounting.balanced());
+    drop(idle);
+}
+
+/// The head-of-line guard: 64 client threads, each holding one
+/// persistent connection, against the default transport on yahooqa.
+/// With a fixed handler pool the turn-holder's connection could queue
+/// forever behind pinned ones; a thread per connection must finish the
+/// campaign with labels byte-identical to the in-process run.
+#[test]
+fn sixty_four_persistent_clients_finish_yahooqa_with_in_process_labels() {
+    let approach = Approach::ICrowd(AssignStrategy::Adapt);
+    let config = CampaignConfig {
+        seed: 42,
+        ..Default::default()
+    };
+    let expected = run_campaign(&yahooqa(42), approach, &config);
+
+    let engine = CampaignEngine::new("yahooqa", yahooqa(42), approach, config);
+    let handle = serve(engine, &ServeConfig::default()).expect("bind ephemeral port");
+    let report = run_loadgen(&LoadgenConfig {
+        addr: handle.addr().to_string(),
+        workers: 64,
+        ..Default::default()
+    })
+    .expect("loadgen completes");
+    let served = handle.join();
+
+    let expected_labels = labels_lines(&expected.labels);
+    assert_eq!(report.labels.as_deref(), Some(expected_labels.as_str()));
+    assert_eq!(labels_lines(&served.labels), expected_labels);
+    assert_eq!(served.answers, expected.answers);
+    assert_eq!(report.complete, expected.completed);
+    assert!(report.balanced && served.accounting.balanced());
+    assert_eq!(report.retries, 0, "a clean run needs no reconnects");
 }
 
 /// Malformed protocol lines get an error response; the connection (and
 /// the campaign) survive.
 #[test]
 fn malformed_requests_get_error_responses_not_resets() {
-    let handle = start(Approach::RandomMV, 2, 8);
+    let handle = start(Approach::RandomMV, 8);
     let addr = handle.addr().to_string();
 
     use std::io::{BufRead as _, BufReader, Write as _};
@@ -230,7 +307,7 @@ fn loadgen_duplicates_do_not_perturb_consensus() {
     let approach = Approach::RandomMV;
     let expected = run_campaign(&table1(), approach, &quick_config());
 
-    let handle = start(approach, 4, 32);
+    let handle = start(approach, 32);
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
         workers: 8,
