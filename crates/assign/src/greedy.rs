@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::WorkerId;
 
-use crate::top_workers::TopWorkerSet;
+use crate::top_workers::{PackedSet, PackedSets, TopWorkerSet};
 
 /// One committed assignment: a task and the workers it goes to.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +82,53 @@ pub fn greedy_assign(candidates: &[TopWorkerSet]) -> Vec<Assignment> {
         });
     }
     out
+}
+
+/// Algorithm 3 run only as far as one requester needs: the index of the
+/// set in `sets` that wins the greedy packing *and* contains
+/// `requester`, or `None` when no winning set contains her. Same result
+/// as `greedy_assign(..).iter().find(|a| a contains requester)`, since
+/// only the requester's own assignment is executed per request.
+///
+/// This is the paper's repeated-maximum loop over the precomputed
+/// `(average, task)` keys: each pass takes the best set (average
+/// descending by `total_cmp`, then task id, then insertion order)
+/// disjoint from a small used-worker list. Every set ranked above it
+/// already conflicted with a committed set, so it is exactly the set
+/// the sorted walk of [`greedy_assign`] commits next. The loop stops as
+/// soon as that set contains the requester, or once no set disjoint
+/// from the used workers contains her. Each pass commits at least one
+/// new worker, so there are at most as many passes as active workers —
+/// on a typical request one or two — and winning sets are never cloned
+/// or sorted.
+pub fn greedy_winner_for(sets: &PackedSets, requester: WorkerId) -> Option<usize> {
+    let mut used: Vec<WorkerId> = Vec::new();
+    loop {
+        let mut best: Option<PackedSet<'_>> = None;
+        let mut best_index = 0;
+        let mut requester_free = false;
+        for (i, set) in sets.iter().enumerate() {
+            if set.workers.iter().any(|(w, _)| used.contains(w)) {
+                continue;
+            }
+            requester_free |= set.workers.iter().any(|&(w, _)| w == requester);
+            let ahead = best.is_none_or(|b| {
+                set.average
+                    .total_cmp(&b.average)
+                    .then(b.task.cmp(&set.task))
+                    .is_gt()
+            });
+            if ahead {
+                best = Some(set);
+                best_index = i;
+            }
+        }
+        let best = best.filter(|_| requester_free)?;
+        if best.workers.iter().any(|&(w, _)| w == requester) {
+            return Some(best_index);
+        }
+        used.extend(best.workers.iter().map(|&(w, _)| w));
+    }
 }
 
 /// The total objective value of an assignment scheme (Definition 4).

@@ -40,7 +40,7 @@ pub const EMPTY_COWORKER_QUALITY: f64 = 0.25;
 /// probably wrong both risks the task's majority and yields a weak
 /// Equation-(5) grading. Ties break toward the smaller task id.
 pub fn performance_test_assignment(
-    estimator: &mut AccuracyEstimator,
+    estimator: &AccuracyEstimator,
     worker: WorkerId,
     candidates: &[(TaskId, Vec<WorkerId>)],
 ) -> Option<TaskId> {
@@ -50,14 +50,14 @@ pub fn performance_test_assignment(
         let quality = if coworkers.is_empty() {
             EMPTY_COWORKER_QUALITY
         } else {
-            // Single-task sparse lookups: cost independent of |T|.
+            // Single-cell lookups: cost independent of |T|, no allocation.
             let sum: f64 = coworkers
                 .iter()
-                .map(|&cw| estimator.accuracies_for(cw, &[*task])[0])
+                .map(|&cw| estimator.accuracy_at(cw, *task))
                 .sum();
             sum / coworkers.len() as f64
         };
-        let own = estimator.accuracies_for(worker, &[*task])[0];
+        let own = estimator.accuracy_at(worker, *task);
         let score = own * variance * quality;
         let better = match best {
             None => true,
@@ -99,7 +99,7 @@ mod tests {
         e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
         e.record_qualification(w(0), t(1), Answer::YES, Answer::YES);
         let candidates = vec![(t(1), vec![]), (t(2), vec![])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), &candidates);
         assert_eq!(
             pick,
             Some(t(2)),
@@ -118,7 +118,7 @@ mod tests {
         // Worker 0 has no evidence anywhere: variance is equal on both
         // candidates; co-worker quality decides.
         let candidates = vec![(t(2), vec![w(2)]), (t(3), vec![w(1)])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), &candidates);
         assert_eq!(pick, Some(t(3)), "the good co-worker makes a better judge");
     }
 
@@ -127,22 +127,22 @@ mod tests {
         let mut e = estimator();
         e.record_qualification(w(1), t(2), Answer::YES, Answer::YES);
         let candidates = vec![(t(0), vec![]), (t(2), vec![w(1)])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), &candidates);
         assert_eq!(pick, Some(t(2)));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        let mut e = estimator();
-        assert_eq!(performance_test_assignment(&mut e, w(0), &[]), None);
+        let e = estimator();
+        assert_eq!(performance_test_assignment(&e, w(0), &[]), None);
     }
 
     #[test]
     fn ties_break_to_smaller_task_id() {
-        let mut e = estimator();
+        let e = estimator();
         // No evidence at all: both candidates score identically.
         let candidates = vec![(t(3), vec![]), (t(1), vec![])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), &candidates);
         assert_eq!(pick, Some(t(1)));
     }
 }

@@ -27,11 +27,7 @@ impl TopWorkerSet {
     /// Mean estimated accuracy of the set — Algorithm 3's selection
     /// score. Zero for an empty set.
     pub fn average_accuracy(&self) -> f64 {
-        if self.workers.is_empty() {
-            0.0
-        } else {
-            self.workers.iter().map(|&(_, p)| p).sum::<f64>() / self.workers.len() as f64
-        }
+        mean_accuracy(&self.workers)
     }
 
     /// Summed estimated accuracy — the objective contribution in
@@ -114,6 +110,107 @@ pub fn top_worker_sets(
         }
     }
     out
+}
+
+/// Mean accuracy of a worker list, zero when empty. Shared by
+/// [`TopWorkerSet::average_accuracy`] and [`PackedSets`] so both yield
+/// the same bits.
+fn mean_accuracy(workers: &[(WorkerId, f64)]) -> f64 {
+    if workers.is_empty() {
+        0.0
+    } else {
+        workers.iter().map(|&(_, p)| p).sum::<f64>() / workers.len() as f64
+    }
+}
+
+/// Offers one eligible worker to a bounded top-`remaining` list kept in
+/// [`top_worker_set`]'s order: accuracy descending under `total_cmp`,
+/// worker id ascending. Once every eligible worker (distinct ids) has
+/// been offered, `top` equals `top_worker_set(..).workers` bitwise,
+/// without collecting, sorting and truncating the whole eligible list.
+/// `top` never grows past `remaining`, so a list with that capacity
+/// never reallocates.
+pub fn offer_top_worker(top: &mut Vec<(WorkerId, f64)>, entry: (WorkerId, f64), remaining: usize) {
+    let pos = top.partition_point(|e| {
+        entry.1.total_cmp(&e.1).then(e.0.cmp(&entry.0)) == std::cmp::Ordering::Less
+    });
+    if pos >= remaining {
+        return;
+    }
+    if top.len() >= remaining {
+        top.pop();
+    }
+    top.insert(pos, entry);
+}
+
+/// A family of non-empty top worker sets packed into one member buffer:
+/// the layout the framework builds on every request, two allocations
+/// in all instead of one `Vec` per task. Each set's average accuracy is
+/// computed once at insertion, with the same bits as
+/// [`TopWorkerSet::average_accuracy`].
+#[derive(Debug, Clone, Default)]
+pub struct PackedSets {
+    members: Vec<(WorkerId, f64)>,
+    /// Per set: `(task, start, len, average)` over `members`.
+    spans: Vec<(TaskId, usize, usize, f64)>,
+}
+
+/// One set of a [`PackedSets`] family.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedSet<'a> {
+    /// The microtask.
+    pub task: TaskId,
+    /// Top workers with their estimated accuracies, highest first.
+    pub workers: &'a [(WorkerId, f64)],
+    /// Mean estimated accuracy of `workers` (Algorithm 3's key).
+    pub average: f64,
+}
+
+impl PackedSets {
+    /// An empty family with room for `sets` sets of up to `k` workers.
+    pub fn with_capacity(sets: usize, k: usize) -> Self {
+        Self {
+            members: Vec::with_capacity(sets * k),
+            spans: Vec::with_capacity(sets),
+        }
+    }
+
+    /// Appends the set of `task`; an empty `workers` list is skipped, as
+    /// Algorithm 2 drops tasks with no eligible worker.
+    pub fn push(&mut self, task: TaskId, workers: &[(WorkerId, f64)]) {
+        if workers.is_empty() {
+            return;
+        }
+        let start = self.members.len();
+        self.members.extend_from_slice(workers);
+        self.spans
+            .push((task, start, workers.len(), mean_accuracy(workers)));
+    }
+
+    /// Number of sets.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the family holds no set.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The `i`-th set, in insertion order.
+    pub fn get(&self, i: usize) -> PackedSet<'_> {
+        let (task, start, len, average) = self.spans[i];
+        PackedSet {
+            task,
+            workers: &self.members[start..start + len],
+            average,
+        }
+    }
+
+    /// The sets in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = PackedSet<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
 }
 
 #[cfg(test)]

@@ -480,6 +480,16 @@ impl AccuracyEstimator {
         ))
     }
 
+    /// Single-task estimate read from one accumulator cell, else the
+    /// absent-cell score: the same bits as
+    /// `accuracies_for(worker, &[task])[0]` (both go through
+    /// `cell_estimate` with the same baseline), without allocating and
+    /// without touching the dense cache.
+    pub fn accuracy_at(&self, worker: WorkerId, task: TaskId) -> f64 {
+        self.cell_score(worker, task)
+            .unwrap_or_else(|| self.baseline_score(worker))
+    }
+
     /// All tasks with a populated accumulator cell for `worker`, with
     /// their estimates, in ascending task-id order. Tasks not yielded
     /// estimate to [`Self::baseline_score`]. This is the delta surface
@@ -838,6 +848,44 @@ mod tests {
                     (s - d).abs() < 1e-12,
                     "{mode:?} task {i}: sparse {s} vs dense {d}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn single_cell_read_matches_accuracies_for_bitwise_in_every_mode() {
+        for mode in [
+            EstimationMode::Raw,
+            EstimationMode::Centered,
+            EstimationMode::Normalized,
+        ] {
+            let mut e = estimator(mode);
+            // w0: qualification evidence plus a completed task; w1: only
+            // a completed task; w2: registered, no evidence; w3: unknown.
+            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
+            e.record_qualification(w(0), t(3), Answer::NO, Answer::YES);
+            let votes = vec![
+                Vote {
+                    worker: w(0),
+                    answer: Answer::YES,
+                },
+                Vote {
+                    worker: w(1),
+                    answer: Answer::NO,
+                },
+            ];
+            e.record_completed_task(t(1), &votes, Answer::YES);
+            e.register_worker(w(2));
+            for wi in 0..4 {
+                for ti in 0..6 {
+                    let single = e.accuracy_at(w(wi), t(ti));
+                    let listed = e.accuracies_for(w(wi), &[t(ti)])[0];
+                    assert_eq!(
+                        single.to_bits(),
+                        listed.to_bits(),
+                        "{mode:?} worker {wi} task {ti}: {single} vs {listed}"
+                    );
+                }
             }
         }
     }

@@ -148,43 +148,6 @@ impl LinearityIndex {
         &scratch.touched
     }
 
-    /// Bounded variant of [`Self::influence_support_with`]: the walk
-    /// stops as soon as `cap` distinct tasks have been discovered, so a
-    /// caller assembling a capacity-capped candidate pool never pays for
-    /// support beyond the cap. The result is a prefix of what the
-    /// unbounded walk would discover (same seed order, same discovery
-    /// order); when the cap binds it holds exactly `cap` ids.
-    pub fn influence_support_bounded<'s>(
-        &self,
-        tasks: &[TaskId],
-        scratch: &'s mut InfluenceScratch,
-        cap: usize,
-    ) -> &'s [u32] {
-        scratch.touched.clear();
-        if scratch.visited.len() < self.vectors.len() {
-            scratch.visited.resize(self.vectors.len(), false);
-        }
-        'walk: for t in tasks {
-            if scratch.touched.len() >= cap {
-                break;
-            }
-            for id in self.vectors[t.index()].support() {
-                let seen = &mut scratch.visited[id as usize];
-                if !*seen {
-                    *seen = true;
-                    scratch.touched.push(id);
-                    if scratch.touched.len() >= cap {
-                        break 'walk;
-                    }
-                }
-            }
-        }
-        for &id in &scratch.touched {
-            scratch.visited[id as usize] = false;
-        }
-        &scratch.touched
-    }
-
     /// `INF(T^q)`: the size of the influence support (Definition 5).
     pub fn influence(&self, tasks: &[TaskId]) -> usize {
         let mut scratch = InfluenceScratch::new();
@@ -436,33 +399,5 @@ mod tests {
         let _ = idx.influence_support_with(&sets[4], &mut scratch);
         let again = idx.influence_support_with(&[t(0)], &mut scratch).to_vec();
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn bounded_walk_is_a_prefix_of_the_unbounded_walk() {
-        let g = lumpy_graph(60);
-        let idx = LinearityIndex::build(
-            &g,
-            1.0,
-            &PprConfig {
-                index_epsilon: 1e-3,
-                ..Default::default()
-            },
-        );
-        let mut scratch = InfluenceScratch::new();
-        let seeds: Vec<TaskId> = vec![t(0), t(11), t(33), t(59)];
-        let full = idx.influence_support_with(&seeds, &mut scratch).to_vec();
-        for cap in [0, 1, 2, full.len() - 1, full.len(), full.len() + 10] {
-            let bounded = idx
-                .influence_support_bounded(&seeds, &mut scratch, cap)
-                .to_vec();
-            assert_eq!(bounded.len(), cap.min(full.len()), "cap={cap}");
-            assert_eq!(bounded, full[..bounded.len()], "cap={cap}");
-        }
-        // The scratch bitmap is fully unmarked after an early exit: an
-        // unbounded walk right after a tightly-capped one sees everything.
-        let _ = idx.influence_support_bounded(&seeds, &mut scratch, 2);
-        let again = idx.influence_support_with(&seeds, &mut scratch).to_vec();
-        assert_eq!(again, full);
     }
 }

@@ -22,14 +22,17 @@
 //!
 //! ## Candidate pools and scalability
 //!
-//! On small task sets every open task is a candidate each round. On very
-//! large sets (the Figure 10 regime) that is wasteful: accuracy evidence
-//! only ever distinguishes tasks near the workers' completed ones, so the
-//! builder's `candidate_limit` caps the pool at the union of the active
-//! workers' *estimate supports* (tasks reachable from their observations
-//! in the similarity graph — an index lookup) plus a rotating sample of
-//! other open tasks. This is the "effective index structure" that keeps
-//! per-request assignment cost independent of `|T|`.
+//! On small task sets every open task with remaining capacity is a
+//! candidate each round, scored from each active worker's dense estimate
+//! row and reduced to its top worker set by bounded insertion; greedy
+//! packing then runs only until the requester's set is decided. On very
+//! large sets (the Figure 10 regime) scoring every open task is
+//! wasteful: accuracy evidence only ever distinguishes tasks near the
+//! workers' completed ones, so the builder's `candidate_limit` caps the
+//! pool at the best-ranked tasks of each active worker's rank cache
+//! (below) plus a rotating sample of other open tasks. This is the
+//! "effective index structure" that keeps per-request assignment cost
+//! independent of `|T|`.
 //!
 //! ## The incremental assignment hot path
 //!
@@ -49,22 +52,23 @@
 //!   (`rem_cap`) replacing the per-candidate capacity-holder walk.
 //!
 //! The rebuild-per-request scoring survives as the debug-mode oracle:
-//! every capped request in a debug build re-derives the top worker sets
-//! the old way and asserts bitwise equality, and
+//! every request in a debug build, capped or not, re-derives the top
+//! worker sets by sort-and-truncate and the winner by the full greedy
+//! scheme, and asserts bitwise equality; and
 //! [`ICrowd::validate_incremental_state`] re-checks every maintained
 //! structure against from-scratch recomputation.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use icrowd_assign::{greedy_assign, performance_test_assignment, top_worker_set, TopWorkerSet};
+use icrowd_assign::{greedy_winner_for, offer_top_worker, performance_test_assignment, PackedSets};
 use icrowd_core::answer::{Answer, Vote};
 use icrowd_core::config::ICrowdConfig;
 use icrowd_core::task::{TaskId, TaskSet};
 use icrowd_core::voting::ConsensusState;
 use icrowd_core::worker::{ActivityTracker, Tick, WorkerId};
 use icrowd_estimate::{AccuracyEstimator, EstimationMode};
-use icrowd_graph::{InfluenceScratch, SimilarityGraph};
+use icrowd_graph::SimilarityGraph;
 use icrowd_platform::events::RejectReason;
 use icrowd_platform::market::{ExternalQuestionServer, SubmitOutcome};
 use icrowd_text::{CosineTfIdf, TaskSimilarity, Tokenizer};
@@ -264,7 +268,6 @@ impl ICrowdBuilder {
             warm: BTreeMap::new(),
             open,
             open_cursor: 0,
-            influence_scratch: InfluenceScratch::new(),
             regular_assignments: Vec::new(),
             test_assignments: 0,
             early_stops: 0,
@@ -314,9 +317,6 @@ pub struct ICrowd {
     /// Round-robin cursor into `open` for candidate sampling.
     open_cursor: u32,
     candidate_limit: usize,
-    /// Reusable visited-bitmap scratch for influence-support walks in
-    /// candidate assembly (one walk per active worker per request).
-    influence_scratch: InfluenceScratch,
     /// Regular (non-warmup) assignments per worker — Figure 15's metric.
     regular_assignments: Vec<u32>,
     /// Step-3 performance-test assignments issued.
@@ -388,7 +388,7 @@ impl ICrowd {
             }
             let num_choices = self.tasks[t].num_choices;
             let weighted = icrowd_core::voting::weighted_majority_vote(&votes, num_choices, |w| {
-                self.estimator.accuracies_for(w, &[t])[0]
+                self.estimator.accuracy_at(w, t)
             });
             if let Some(o) = weighted {
                 out.insert(t, o.answer);
@@ -542,8 +542,8 @@ impl ICrowd {
 
     /// Rotating exploration sampler: inserts open tasks into `cand`
     /// starting at the persisted cursor, counting only *fresh*
-    /// insertions toward `budget` — a task already pooled (e.g. from an
-    /// influence support overlapping the cursor window) must not
+    /// insertions toward `budget` — a task already pooled (e.g. a
+    /// rank-cache candidate inside the cursor window) must not
     /// silently shrink the exploration sample. A full-wrap guard
     /// terminates once every open task has been visited. With
     /// `require_capacity`, full tasks are skipped outright instead of
@@ -586,45 +586,13 @@ impl ICrowd {
         self.open_cursor = cursor;
     }
 
-    /// Assembles the candidate task pool for this round (see module
-    /// docs): estimate supports of active workers plus a rotating sample
-    /// of other open tasks, all filtered to capacity > 0.
-    fn candidate_tasks(&mut self, active: &[WorkerId]) -> Vec<TaskId> {
-        let mut cand: BTreeSet<u32> = BTreeSet::new();
-        if self.open.len() <= self.candidate_limit {
-            cand.extend(self.open.iter().copied());
-        } else {
-            // Tasks the graph can say anything about for these workers.
-            // The walk is bounded: support discovered past the pool cap
-            // could never be pooled anyway.
-            for &w in active {
-                if cand.len() >= self.candidate_limit {
-                    break;
-                }
-                if let Some(observed) = self.estimator.observed(w) {
-                    let seeds: Vec<TaskId> = observed.keys().map(|&t| TaskId(t)).collect();
-                    let support = self.estimator.index().influence_support_bounded(
-                        &seeds,
-                        &mut self.influence_scratch,
-                        self.candidate_limit,
-                    );
-                    for &t in support {
-                        if cand.len() >= self.candidate_limit {
-                            break;
-                        }
-                        if self.open.contains(&t) {
-                            cand.insert(t);
-                        }
-                    }
-                }
-            }
-            // Rotating sample of further open tasks for exploration.
-            let sample = self.candidate_limit.saturating_sub(cand.len());
-            self.sample_open_into(&mut cand, sample, false);
-        }
-        cand.into_iter()
-            .map(TaskId)
-            .filter(|&t| self.remaining_capacity(t) > 0)
+    /// Open tasks with remaining capacity, ascending — the candidate
+    /// pool whenever the open set fits under the candidate limit.
+    fn open_with_capacity(&self) -> Vec<TaskId> {
+        self.open
+            .iter()
+            .filter(|&&t| self.rem_cap[t as usize] > 0)
+            .map(|&t| TaskId(t))
             .collect()
     }
 
@@ -644,67 +612,78 @@ impl ICrowd {
             return self.adaptive_assign_capped(worker, &active);
         }
 
-        let candidates = self.candidate_tasks(&active);
+        let candidates = self.open_with_capacity();
         if candidates.is_empty() {
             return None;
         }
         // Per-worker estimates over the candidate pool. On small task
-        // sets the dense per-worker cache amortizes across requests; past
-        // the candidate limit the sparse path keeps cost independent of
-        // |T| (Figure 10).
-        let use_sparse = self.tasks.len() > self.candidate_limit;
-        let acc: Vec<Vec<f64>> = active
-            .iter()
-            .map(|&w| {
-                if use_sparse {
-                    self.estimator.accuracies_for(w, &candidates)
-                } else {
-                    self.estimator.accuracies(w);
-                    candidates
-                        .iter()
-                        .map(|&t| self.estimator.accuracy_cached(w, t))
-                        .collect()
-                }
-            })
-            .collect();
+        // sets each active worker's dense row is refreshed once and read
+        // in place; past the candidate limit the sparse path keeps cost
+        // independent of |T| (Figure 10).
+        let sparse: Option<Vec<Vec<f64>>> = if self.tasks.len() > self.candidate_limit {
+            Some(
+                active
+                    .iter()
+                    .map(|&w| self.estimator.accuracies_for(w, &candidates))
+                    .collect(),
+            )
+        } else {
+            for &w in &active {
+                self.estimator.accuracies(w);
+            }
+            None
+        };
 
-        // Step 1: top worker sets.
-        let mut sets: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
+        // Step 1: top worker sets, each kept by bounded insertion.
+        let k = self.config.assignment_size;
+        let mut sets = PackedSets::with_capacity(candidates.len(), k);
+        let mut top: Vec<(WorkerId, f64)> = Vec::with_capacity(k);
         for (ci, &t) in candidates.iter().enumerate() {
             let remaining = self.remaining_capacity(t);
-            if remaining == 0 {
-                continue;
+            let votes = self.consensus.votes(t);
+            top.clear();
+            for (wi, &w) in active.iter().enumerate() {
+                // Qualification tasks never enter `open`, and `active`
+                // holds only workers without a live lease (so none holds
+                // `t`): a vote on `t` is all that can make `w` ineligible.
+                debug_assert_eq!(
+                    self.eligible(w, t),
+                    votes.answer_of(w).is_none(),
+                    "eligibility shortcut broke on task {t}"
+                );
+                if votes.answer_of(w).is_some() {
+                    continue;
+                }
+                let score = match &sparse {
+                    Some(acc) => acc[wi][ci],
+                    None => self.estimator.accuracy_cached(w, t),
+                };
+                offer_top_worker(&mut top, (w, score), remaining);
             }
-            let eligible = active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| self.eligible(w, t))
-                .map(|(wi, &w)| (w, acc[wi][ci]));
-            let set = top_worker_set(t, eligible, remaining);
-            if !set.workers.is_empty() {
-                sets.push(set);
-            }
+            sets.push(t, &top);
         }
+
+        #[cfg(debug_assertions)]
+        self.debug_assert_sets_match_oracle(worker, &active, &candidates, &sets);
 
         self.finish_assign(worker, &sets, &candidates, MAX_TEST_CANDIDATES)
     }
 
     /// Steps 2–3 of Algorithm 2 over prepared top worker sets: greedy
-    /// disjoint packing, the requester's best containing set as the
-    /// conflict fallback, and performance testing when no set contains
-    /// her.
+    /// disjoint packing up to the requester's winning set, her best
+    /// containing set as the conflict fallback, and performance testing
+    /// when no set contains her.
     fn finish_assign(
         &mut self,
         worker: WorkerId,
-        sets: &[TopWorkerSet],
+        sets: &PackedSets,
         candidates: &[TaskId],
         max_test: usize,
     ) -> Option<TaskId> {
         // Step 2: greedy optimal assignment; serve the requester if some
         // winning set contains her.
-        let scheme = greedy_assign(sets);
-        if let Some(assignment) = scheme.iter().find(|a| a.worker_ids().any(|w| w == worker)) {
-            return Some(assignment.task);
+        if let Some(i) = greedy_winner_for(sets, worker) {
+            return Some(sets.get(i).task);
         }
 
         // The requester is a top worker for some tasks but lost the
@@ -720,7 +699,7 @@ impl ICrowd {
                 set.workers
                     .iter()
                     .find(|&&(w, _)| w == worker)
-                    .map(|&(_, p)| (set.task, p, set.average_accuracy()))
+                    .map(|&(_, p)| (set.task, p, set.average))
             })
             .max_by(|(ta, pa, aa), (tb, pb, ab)| {
                 // total_cmp: an all-NaN accuracy column (a worker with no
@@ -747,7 +726,7 @@ impl ICrowd {
             .step_by(stride)
             .map(|&t| (t, self.capacity_holders(t)))
             .collect();
-        let pick = performance_test_assignment(&mut self.estimator, worker, &test_candidates);
+        let pick = performance_test_assignment(&self.estimator, worker, &test_candidates);
         if pick.is_some() {
             self.test_assignments += 1;
             icrowd_obs::counter_add("assign.test", 1);
@@ -812,8 +791,8 @@ impl ICrowd {
         }
 
         // Step 1: top worker sets.
-        let mut sets: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
-        let mut subset: Vec<(WorkerId, f64)> = Vec::new();
+        let mut sets = PackedSets::with_capacity(candidates.len(), k);
+        let mut top: Vec<(WorkerId, f64)> = Vec::with_capacity(k);
         for &t in &candidates {
             let remaining = usize::from(self.rem_cap[t.index()]);
             if remaining == 0 {
@@ -827,22 +806,18 @@ impl ICrowd {
                 // warm-up history (qualification tasks are never open),
                 // so every active worker is eligible at her cold score —
                 // the set is a shared prefix of the cold ranking.
-                sets.push(TopWorkerSet {
-                    task: t,
-                    workers: cold_full.clone(),
-                    remaining: k,
-                });
+                sets.push(t, &cold_full);
                 continue;
             }
             // Warm or partially filled: the true top-`remaining` set is
             // contained in (eligible warm actives) ∪ (the first
             // `remaining` eligible cold actives) — any later cold worker
             // is dominated by `remaining` earlier entries.
-            subset.clear();
+            top.clear();
             if let Some(list) = warm_here {
                 for &(w, s) in list {
                     if active_mask[w.index()] && self.eligible(w, t) {
-                        subset.push((w, s));
+                        offer_top_worker(&mut top, (w, s), remaining);
                     }
                 }
             }
@@ -855,33 +830,35 @@ impl ICrowd {
                     continue;
                 }
                 if self.eligible(w, t) {
-                    subset.push((w, s));
+                    offer_top_worker(&mut top, (w, s), remaining);
                     cold_taken += 1;
                 }
             }
-            let set = top_worker_set(t, subset.iter().copied(), remaining);
-            if !set.workers.is_empty() {
-                sets.push(set);
-            }
+            sets.push(t, &top);
         }
 
         #[cfg(debug_assertions)]
-        self.debug_assert_sets_match_oracle(active, &candidates, &sets);
+        self.debug_assert_sets_match_oracle(worker, active, &candidates, &sets);
 
         self.finish_assign(worker, &sets, &candidates, MAX_TEST_CANDIDATES_CAPPED)
     }
 
-    /// Debug-mode oracle for the capped fast path: re-derives the top
-    /// worker sets the way the uncapped path does — a full active ×
-    /// candidates score matrix through the estimator — and asserts the
-    /// incremental construction matched bitwise.
+    /// Debug-mode oracle for both Step-1 constructions: re-derives the
+    /// top worker sets the reference way — a full active × candidates
+    /// score matrix through the estimator, eligibility by
+    /// [`Self::eligible`], sort-and-truncate by `top_worker_set` — and
+    /// asserts the kernel's sets matched bitwise, then asserts the
+    /// requester-stop winner against the full `greedy_assign` scheme.
     #[cfg(debug_assertions)]
     fn debug_assert_sets_match_oracle(
         &mut self,
+        worker: WorkerId,
         active: &[WorkerId],
         candidates: &[TaskId],
-        sets: &[TopWorkerSet],
+        sets: &PackedSets,
     ) {
+        use icrowd_assign::{greedy_assign, top_worker_set, TopWorkerSet};
+
         let acc: Vec<Vec<f64>> = active
             .iter()
             .map(|&w| self.estimator.accuracies_for(w, candidates))
@@ -906,12 +883,21 @@ impl ICrowd {
             }
         }
         assert_eq!(oracle.len(), sets.len(), "oracle disagrees on set count");
-        for (a, b) in oracle.iter().zip(sets) {
+        for (a, b) in oracle.iter().zip(sets.iter()) {
             assert_eq!(a.task, b.task, "oracle disagrees on set task");
             let aw: Vec<(u32, u64)> = a.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
             let bw: Vec<(u32, u64)> = b.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
             assert_eq!(aw, bw, "oracle disagrees on workers of task {:?}", a.task);
         }
+        let want = greedy_assign(&oracle)
+            .into_iter()
+            .find(|a| a.worker_ids().any(|w| w == worker))
+            .map(|a| a.task);
+        let got = greedy_winner_for(sets, worker).map(|i| sets.get(i).task);
+        assert_eq!(
+            got, want,
+            "requester-stop packing disagrees with greedy_assign"
+        );
     }
 
     /// Whether the candidate-pool cap — and with it the incremental
@@ -1109,12 +1095,16 @@ impl ICrowd {
     /// (`now` is deliberately unused: BestEffort ignores the rest of the
     /// crowd by definition.)
     fn best_effort_assign(&mut self, worker: WorkerId, _now: Tick) -> Option<TaskId> {
-        let active = vec![worker];
-        let candidates: Vec<TaskId> = self
-            .candidate_tasks(&active)
-            .into_iter()
-            .filter(|&t| self.eligible(worker, t) && self.remaining_capacity(t) > 0)
-            .collect();
+        // Past the candidate limit a rotating sample of open tasks with
+        // capacity keeps the request bounded.
+        let mut candidates = if self.open.len() <= self.candidate_limit {
+            self.open_with_capacity()
+        } else {
+            let mut cand = BTreeSet::new();
+            self.sample_open_into(&mut cand, self.candidate_limit, true);
+            cand.into_iter().map(TaskId).collect()
+        };
+        candidates.retain(|&t| self.eligible(worker, t));
         let acc = if self.tasks.len() > self.candidate_limit {
             self.estimator.accuracies_for(worker, &candidates)
         } else {
@@ -1287,7 +1277,7 @@ impl ExternalQuestionServer for ICrowd {
                                 let posterior = icrowd_core::probability::vote_posterior(
                                     &votes,
                                     num_choices,
-                                    |w| self.estimator.accuracies_for(w, &[task])[0],
+                                    |w| self.estimator.accuracy_at(w, task),
                                 );
                                 if let Some((ans, conf)) = posterior {
                                     if conf >= tau {
@@ -1672,7 +1662,7 @@ mod tests {
         let mut srv = setup(AssignStrategy::Adapt, 1);
         // One qualification task is preset, so 5 open tasks remain.
         // Pre-pool the first three open ids so the cursor window overlaps
-        // the existing pool (as influence-support candidates do).
+        // the existing pool (as rank-cache candidates do).
         let open: Vec<u32> = srv.open.iter().copied().collect();
         assert_eq!(open.len(), 5);
         let mut cand: BTreeSet<u32> = open[..3].iter().copied().collect();
