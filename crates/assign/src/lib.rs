@@ -31,6 +31,4 @@ pub use greedy::{greedy_assign, greedy_winner_for, Assignment};
 pub use optimal::optimal_assign;
 pub use qualification::{select_qualification_influence, select_qualification_random};
 pub use testing::performance_test_assignment;
-pub use top_workers::{
-    offer_top_worker, top_worker_set, top_worker_sets, PackedSet, PackedSets, TopWorkerSet,
-};
+pub use top_workers::{offer_top_worker, top_worker_set, PackedSet, PackedSets, TopWorkerSet};

@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 use icrowd::AssignStrategy;
 use icrowd_core::config::ICrowdConfig;
 use icrowd_graph::GraphBuilder;
+use icrowd_platform::journal::StdIo;
 use icrowd_serve::{
     run_loadgen, CampaignEngine, ClientFaultConfig, DurabilityPolicy, LoadgenConfig, ServeConfig,
 };
@@ -243,8 +244,8 @@ fn telemetry_begin(args: &Args) -> Option<&str> {
 }
 
 /// Writes the JSONL export (if armed) and, when `out` is given (i.e.
-/// the command prints human-readable text, not JSON), appends the
-/// summary table to it.
+/// the command prints human-readable text, not JSON), appends what
+/// `icrowd obs report <path>` prints for the file just written.
 fn telemetry_end(path: Option<&str>, out: Option<&mut String>) -> Result<(), CliError> {
     let Some(path) = path else {
         return Ok(());
@@ -254,8 +255,7 @@ fn telemetry_end(path: Option<&str>, out: Option<&mut String>) -> Result<(), Cli
         .map_err(|e| CliError(format!("cannot write telemetry to `{path}`: {e}")))?;
     if let Some(out) = out {
         out.push('\n');
-        out.push_str(&icrowd_obs::summary_table());
-        writeln!(out, "telemetry written to {path}").unwrap();
+        out.push_str(&crate::obs_cmd::report_text(path)?);
     }
     Ok(())
 }
@@ -597,11 +597,12 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
         let engine = CampaignEngine::new(name, ds, approach, config);
         if let Some(path) = journal {
             engine
-                .start_journal_policy(
+                .start_journal_with(
                     std::path::Path::new(path),
                     fsync_every,
                     snapshot_every,
                     durability,
+                    Box::new(StdIo),
                 )
                 .map_err(|e| CliError(format!("cannot create journal `{path}`: {e}")))?;
         }
@@ -757,8 +758,10 @@ mod tests {
             "campaign --dataset table1 --approach icrowd --q 3 --telemetry {path_str}"
         ))
         .unwrap();
-        assert!(out.contains("telemetry summary"), "{out}");
-        assert!(out.contains("telemetry written to"), "{out}");
+        assert!(
+            out.contains(&format!("telemetry report: {path_str}")),
+            "{out}"
+        );
 
         let text = std::fs::read_to_string(&path).unwrap();
         let mut span_names = Vec::new();

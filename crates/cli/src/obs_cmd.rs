@@ -181,40 +181,50 @@ fn us(ns: u64) -> f64 {
 }
 
 fn report(args: &Args, path: &str) -> Result<String, CliError> {
-    let t = Telemetry::load(path)?;
-    if args.has_flag("json") {
-        let spans: Vec<Value> = t
-            .span_names()
-            .iter()
-            .filter_map(|n| {
-                let (count, p50, p99) = t.quantiles(n)?;
-                Some(serde_json::json!({
-                    "name": n,
-                    "count": count,
-                    "p50_us": us(p50),
-                    "p99_us": us(p99),
-                }))
-            })
-            .collect();
-        let counters: Vec<Value> = t
-            .counters
-            .iter()
-            .map(|(n, v)| serde_json::json!({"name": n, "value": v}))
-            .collect();
-        let mut v = serde_json::json!({
-            "file": path,
-            "spans": spans,
-            "counters": counters,
-            "traces": t.traces,
-        });
-        if let (Some(rate), Value::Object(o)) = (t.busy_rate(), &mut v) {
-            o.push(("busy_rate".into(), serde_json::json!(rate)));
-        }
-        return serde_json::to_string_pretty(&v)
-            .map(|s| s + "\n")
-            .map_err(|e| CliError(format!("cannot serialize report: {e}")));
+    if !args.has_flag("json") {
+        return report_text(path);
     }
+    let t = Telemetry::load(path)?;
+    let spans: Vec<Value> = t
+        .span_names()
+        .iter()
+        .filter_map(|n| {
+            let (count, p50, p99) = t.quantiles(n)?;
+            Some(serde_json::json!({
+                "name": n,
+                "count": count,
+                "p50_us": us(p50),
+                "p99_us": us(p99),
+            }))
+        })
+        .collect();
+    let counters: Vec<Value> = t
+        .counters
+        .iter()
+        .map(|(n, v)| serde_json::json!({"name": n, "value": v}))
+        .collect();
+    let mut v = serde_json::json!({
+        "file": path,
+        "spans": spans,
+        "counters": counters,
+        "traces": t.traces,
+    });
+    if let (Some(rate), Value::Object(o)) = (t.busy_rate(), &mut v) {
+        o.push(("busy_rate".into(), serde_json::json!(rate)));
+    }
+    serde_json::to_string_pretty(&v)
+        .map(|s| s + "\n")
+        .map_err(|e| CliError(format!("cannot serialize report: {e}")))
+}
 
+/// The text report for one telemetry file: what `icrowd obs report
+/// <file>` prints, and what text-mode `--telemetry` commands append
+/// for the file they just wrote.
+///
+/// # Errors
+/// An unreadable or malformed file.
+pub(crate) fn report_text(path: &str) -> Result<String, CliError> {
+    let t = Telemetry::load(path)?;
     let mut out = String::new();
     writeln!(out, "telemetry report: {path}").unwrap();
     writeln!(

@@ -166,18 +166,6 @@ impl ICrowdConfig {
         }
         Ok(())
     }
-
-    /// The damping factor `1 / (1 + alpha)` used by the PPR iteration.
-    #[inline]
-    pub fn damping(&self) -> f64 {
-        1.0 / (1.0 + self.alpha)
-    }
-
-    /// The restart weight `alpha / (1 + alpha)`.
-    #[inline]
-    pub fn restart(&self) -> f64 {
-        self.alpha / (1.0 + self.alpha)
-    }
 }
 
 #[cfg(test)]
@@ -195,17 +183,6 @@ mod tests {
         // for why the paper's illustrative 0.6 is not the default here).
         assert_eq!(c.warmup.reject_threshold, 0.4);
         c.validate().expect("defaults must validate");
-    }
-
-    #[test]
-    fn damping_and_restart_sum_to_one() {
-        for alpha in [0.1, 0.5, 1.0, 2.0, 100.0] {
-            let c = ICrowdConfig {
-                alpha,
-                ..Default::default()
-            };
-            assert!((c.damping() + c.restart() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

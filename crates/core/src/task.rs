@@ -165,12 +165,6 @@ impl Microtask {
         self.features = Some(features);
         self
     }
-
-    /// Whether `answer` is a legal choice for this task.
-    #[inline]
-    pub fn is_valid_answer(&self, answer: Answer) -> bool {
-        answer.0 < self.num_choices
-    }
 }
 
 /// A set of microtasks with dense, contiguous ids `0..len`.
@@ -297,8 +291,6 @@ mod tests {
         assert_eq!(t.num_choices, 2);
         assert_eq!(t.domain, Some(Domain(1)));
         assert_eq!(t.ground_truth, Some(Answer::YES));
-        assert!(t.is_valid_answer(Answer::NO));
-        assert!(!t.is_valid_answer(Answer(2)));
     }
 
     #[test]

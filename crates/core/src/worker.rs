@@ -41,12 +41,6 @@ impl Tick {
     /// Tick zero.
     pub const ZERO: Tick = Tick(0);
 
-    /// The tick `delta` ticks later.
-    #[inline]
-    pub fn plus(self, delta: u64) -> Tick {
-        Tick(self.0 + delta)
-    }
-
     /// Ticks elapsed since `earlier` (saturating).
     #[inline]
     pub fn since(self, earlier: Tick) -> u64 {
@@ -69,8 +63,6 @@ pub struct WorkerRecord {
     pub external_id: String,
     /// Tick of the worker's most recent task request.
     pub last_request: Tick,
-    /// Whether the worker currently holds a HIT (Appendix A activity signal).
-    pub holds_hit: bool,
     /// Whether warm-up rejected this worker as unqualified (Section 2.2).
     pub rejected: bool,
     /// Number of answers this worker has submitted.
@@ -84,7 +76,6 @@ impl WorkerRecord {
             id,
             external_id: external_id.into(),
             last_request: now,
-            holds_hit: false,
             rejected: false,
             completed: 0,
         }
@@ -94,8 +85,9 @@ impl WorkerRecord {
 /// Tracks which workers are currently *active*.
 ///
 /// A worker is active if she requested a task within the last
-/// `window` ticks **or** currently holds a HIT — the two signals Section
-/// 4.1 Step 1 proposes. Rejected workers are never active.
+/// `window` ticks, the first of the two signals Section 4.1 Step 1
+/// proposes; the second, holding a HIT, has no platform signal wired
+/// to it. Rejected workers are never active.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ActivityTracker {
     window: u64,
@@ -139,13 +131,6 @@ impl ActivityTracker {
         }
     }
 
-    /// Sets whether `worker` currently holds a HIT.
-    pub fn set_holds_hit(&mut self, worker: WorkerId, holds: bool) {
-        if let Some(w) = self.workers.get_mut(worker.index()) {
-            w.holds_hit = holds;
-        }
-    }
-
     /// Marks `worker` as rejected by warm-up.
     pub fn reject(&mut self, worker: WorkerId) {
         if let Some(w) = self.workers.get_mut(worker.index()) {
@@ -160,18 +145,11 @@ impl ActivityTracker {
         }
     }
 
-    /// Whether `worker` is active at `now`.
-    pub fn is_active(&self, worker: WorkerId, now: Tick) -> bool {
-        self.workers.get(worker.index()).is_some_and(|w| {
-            !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window)
-        })
-    }
-
     /// All workers active at `now`, in id order.
     pub fn active_workers(&self, now: Tick) -> Vec<WorkerId> {
         self.workers
             .iter()
-            .filter(|w| !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window))
+            .filter(|w| !w.rejected && now.since(w.last_request) < self.window)
             .map(|w| w.id)
             .collect()
     }
@@ -204,7 +182,6 @@ mod tests {
     #[test]
     fn tick_arithmetic() {
         let t = Tick(10);
-        assert_eq!(t.plus(5), Tick(15));
         assert_eq!(Tick(15).since(t), 5);
         assert_eq!(t.since(Tick(15)), 0, "since() saturates");
         assert_eq!(t.to_string(), "@10");
@@ -226,30 +203,18 @@ mod tests {
     fn activity_window_expires() {
         let mut tr = ActivityTracker::new(30);
         let w = tr.register("A", Tick(0));
-        assert!(tr.is_active(w, Tick(29)));
-        assert!(!tr.is_active(w, Tick(30)));
+        assert_eq!(tr.active_workers(Tick(29)), vec![w]);
+        assert!(tr.active_workers(Tick(30)).is_empty());
         tr.touch(w, Tick(40));
-        assert!(tr.is_active(w, Tick(69)));
-        assert!(!tr.is_active(w, Tick(70)));
-    }
-
-    #[test]
-    fn holding_a_hit_keeps_worker_active() {
-        let mut tr = ActivityTracker::new(30);
-        let w = tr.register("A", Tick(0));
-        tr.set_holds_hit(w, true);
-        assert!(tr.is_active(w, Tick(1_000_000)));
-        tr.set_holds_hit(w, false);
-        assert!(!tr.is_active(w, Tick(1_000_000)));
+        assert_eq!(tr.active_workers(Tick(69)), vec![w]);
+        assert!(tr.active_workers(Tick(70)).is_empty());
     }
 
     #[test]
     fn rejected_worker_is_never_active() {
         let mut tr = ActivityTracker::new(30);
         let w = tr.register("A", Tick(0));
-        tr.set_holds_hit(w, true);
         tr.reject(w);
-        assert!(!tr.is_active(w, Tick(0)));
         assert!(tr.active_workers(Tick(0)).is_empty());
     }
 

@@ -430,12 +430,13 @@ impl AccuracyEstimator {
         Self::cell_estimate(self.mode, baseline, state.accum.get(&task.0))
     }
 
-    /// Read-only estimate for an already-cached worker; returns the
-    /// baseline if no cache exists yet.
+    /// Read-only estimate: the dense cache entry when warm, otherwise
+    /// [`Self::accuracy_at`]'s single accumulator-cell read — the same
+    /// bits either way.
     pub fn accuracy_cached(&self, worker: WorkerId, task: TaskId) -> f64 {
         match self.workers.get(worker.index()) {
             Some(WorkerState { cache: Some(c), .. }) => c[task.index()],
-            _ => self.baseline(worker),
+            _ => self.accuracy_at(worker, task),
         }
     }
 
@@ -886,6 +887,30 @@ mod tests {
                         "{mode:?} worker {wi} task {ti}: {single} vs {listed}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_cached_read_matches_single_cell_read_in_every_mode() {
+        for mode in [
+            EstimationMode::Raw,
+            EstimationMode::Centered,
+            EstimationMode::Normalized,
+        ] {
+            let mut e = estimator(mode);
+            // One right and one wrong qualification answer, in different
+            // cliques; `accuracies()` is never called, so no dense cache.
+            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
+            e.record_qualification(w(0), t(3), Answer::NO, Answer::YES);
+            for ti in 0..6 {
+                let cached = e.accuracy_cached(w(0), t(ti));
+                let single = e.accuracy_at(w(0), t(ti));
+                assert_eq!(
+                    cached.to_bits(),
+                    single.to_bits(),
+                    "{mode:?} task {ti}: cached {cached} vs cell {single}"
+                );
             }
         }
     }

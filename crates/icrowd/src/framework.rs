@@ -397,11 +397,6 @@ impl ICrowd {
         out
     }
 
-    /// Regular assignments handed to each registered worker (Figure 15).
-    pub fn assignment_distribution(&self) -> &[u32] {
-        &self.regular_assignments
-    }
-
     /// Regular assignments keyed by the workers' external (platform)
     /// ids, in registration order.
     pub fn worker_assignments(&self) -> Vec<(String, u32)> {
@@ -616,33 +611,21 @@ impl ICrowd {
         if candidates.is_empty() {
             return None;
         }
-        // Per-worker estimates over the candidate pool. On small task
-        // sets each active worker's dense row is refreshed once and read
-        // in place; past the candidate limit the sparse path keeps cost
-        // independent of |T| (Figure 10).
-        let sparse: Option<Vec<Vec<f64>>> = if self.tasks.len() > self.candidate_limit {
-            Some(
-                active
-                    .iter()
-                    .map(|&w| self.estimator.accuracies_for(w, &candidates))
-                    .collect(),
-            )
-        } else {
-            for &w in &active {
-                self.estimator.accuracies(w);
-            }
-            None
-        };
+        // Each active worker's dense row is refreshed once and read in
+        // place.
+        for &w in &active {
+            self.estimator.accuracies(w);
+        }
 
         // Step 1: top worker sets, each kept by bounded insertion.
         let k = self.config.assignment_size;
         let mut sets = PackedSets::with_capacity(candidates.len(), k);
         let mut top: Vec<(WorkerId, f64)> = Vec::with_capacity(k);
-        for (ci, &t) in candidates.iter().enumerate() {
+        for &t in &candidates {
             let remaining = self.remaining_capacity(t);
             let votes = self.consensus.votes(t);
             top.clear();
-            for (wi, &w) in active.iter().enumerate() {
+            for &w in &active {
                 // Qualification tasks never enter `open`, and `active`
                 // holds only workers without a live lease (so none holds
                 // `t`): a vote on `t` is all that can make `w` ineligible.
@@ -654,10 +637,7 @@ impl ICrowd {
                 if votes.answer_of(w).is_some() {
                     continue;
                 }
-                let score = match &sparse {
-                    Some(acc) => acc[wi][ci],
-                    None => self.estimator.accuracy_cached(w, t),
-                };
+                let score = self.estimator.accuracy_cached(w, t);
                 offer_top_worker(&mut top, (w, score), remaining);
             }
             sets.push(t, &top);
@@ -1105,18 +1085,9 @@ impl ICrowd {
             cand.into_iter().map(TaskId).collect()
         };
         candidates.retain(|&t| self.eligible(worker, t));
-        let acc = if self.tasks.len() > self.candidate_limit {
-            self.estimator.accuracies_for(worker, &candidates)
-        } else {
-            self.estimator.accuracies(worker);
-            candidates
-                .iter()
-                .map(|&t| self.estimator.accuracy_cached(worker, t))
-                .collect()
-        };
         candidates
             .into_iter()
-            .zip(acc)
+            .map(|t| (t, self.estimator.accuracy_at(worker, t)))
             .max_by(|(ta, a), (tb, b)| a.total_cmp(b).then(tb.cmp(ta)))
             .map(|(t, _)| t)
     }
@@ -1380,7 +1351,7 @@ mod tests {
         srv.submit_answer("A", second, Answer::YES, Tick(3));
         // Out of warm-up: next assignment is a regular task.
         let third = srv.request_task("A", Tick(4)).unwrap();
-        assert!(srv.assignment_distribution()[0] == 1);
+        assert_eq!(srv.worker_assignments(), vec![("A".to_owned(), 1)]);
         assert!(!quals.contains(&third) || srv.consensus().votes(third).is_empty());
     }
 
@@ -1429,7 +1400,7 @@ mod tests {
         assert!(results.values().all(|&a| a == Answer::YES));
         // 1 qualification task is preset; the other 5 complete with 2-3
         // votes each under early consensus.
-        let total: u32 = srv.assignment_distribution().iter().sum();
+        let total: u32 = srv.worker_assignments().iter().map(|(_, n)| n).sum();
         assert!((10..=15).contains(&total), "regular assignments: {total}");
     }
 
@@ -1618,7 +1589,7 @@ mod tests {
             "confident unanimous pairs should stop tasks early"
         );
         // Early stopping saved votes: fewer than k = 5 votes per task.
-        let total: u32 = srv.assignment_distribution().iter().sum();
+        let total: u32 = srv.worker_assignments().iter().map(|(_, n)| n).sum();
         assert!(total < 2 * 5, "saved votes: only {total} regular answers");
         assert!(srv.results().values().all(|&a| a == Answer::YES));
     }

@@ -33,9 +33,9 @@
 //! allocation, no clock read, no lock — a single relaxed atomic load
 //! (asserted by the `noop_alloc` integration test, which covers the
 //! trace path too). Exports are deterministic: registries are
-//! `BTreeMap`s so JSONL lines and the summary table come out in stable
-//! order, and quantiles come from deterministic bucketing, not
-//! sampling.
+//! `BTreeMap`s so JSONL lines come out in stable order, and quantiles
+//! come from deterministic bucketing, not sampling. `icrowd obs report`
+//! renders an export for humans.
 //!
 //! The crate is `std`-only by design — it must stay usable from every
 //! workspace crate without dragging in the vendored serde stack, so JSON
@@ -564,69 +564,6 @@ pub fn write_jsonl(path: &str) -> std::io::Result<()> {
     f.flush()
 }
 
-fn fmt_ms(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e6)
-}
-
-/// Renders a fixed-width, human-readable table of every span, counter,
-/// and gauge (times in milliseconds).
-pub fn summary_table() -> String {
-    let snap = snapshot();
-    let mut out = String::new();
-    out.push_str("== telemetry summary ==\n");
-    if !snap.spans.is_empty() {
-        out.push_str(&format!(
-            "{:<24} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
-            "span", "count", "total_ms", "min_ms", "max_ms", "p50_ms", "p99_ms"
-        ));
-        for s in &snap.spans {
-            out.push_str(&format!(
-                "{:<24} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
-                s.name,
-                s.count,
-                fmt_ms(s.total_ns),
-                fmt_ms(s.min_ns),
-                fmt_ms(s.max_ns),
-                fmt_ms(s.p50_ns),
-                fmt_ms(s.p99_ns),
-            ));
-        }
-    }
-    if !snap.counters.is_empty() {
-        out.push_str(&format!("{:<24} {:>12}\n", "counter", "value"));
-        for (name, value) in &snap.counters {
-            out.push_str(&format!("{name:<24} {value:>12}\n"));
-        }
-    }
-    if !snap.gauges.is_empty() {
-        out.push_str(&format!(
-            "{:<24} {:>12} {:>12} {:>12}\n",
-            "gauge", "last", "win_min", "win_max"
-        ));
-        for g in &snap.gauges {
-            out.push_str(&format!(
-                "{:<24} {:>12.3} {:>12.3} {:>12.3}\n",
-                g.name, g.last, g.min, g.max
-            ));
-        }
-    }
-    if !snap.traces.is_empty() || snap.traces_dropped > 0 {
-        out.push_str(&format!(
-            "traces: {} spans recorded, {} dropped\n",
-            snap.traces.len(),
-            snap.traces_dropped
-        ));
-    }
-    if !snap.events.is_empty() || snap.events_dropped > 0 {
-        out.push_str(&format!(
-            "events: {} recorded, {} dropped\n",
-            snap.events.len(),
-            snap.events_dropped
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,8 +729,6 @@ mod tests {
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
-        let table = summary_table();
-        assert!(table.contains("a.span") && table.contains("events: 1 recorded"));
     }
 
     #[test]

@@ -57,23 +57,6 @@ impl Conn {
         Err(last)
     }
 
-    /// Connects with retries — covers the window between spawning a
-    /// server process and its listener binding.
-    ///
-    /// # Errors
-    /// The last connect error once `attempts` are exhausted.
-    pub fn open_retry<A: ToSocketAddrs + Copy>(addr: A, attempts: u32) -> Result<Conn, String> {
-        let mut last = "no attempts".to_owned();
-        for i in 0..attempts.max(1) {
-            match Conn::open(addr) {
-                Ok(conn) => return Ok(conn),
-                Err(e) => last = e,
-            }
-            std::thread::sleep(Duration::from_millis(20 * u64::from(i + 1)));
-        }
-        Err(last)
-    }
-
     /// Sends one request and reads one response line.
     ///
     /// # Errors

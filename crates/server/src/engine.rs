@@ -20,12 +20,8 @@
 //! and a journal-free engine takes none of these branches — the
 //! no-journal serve path is structurally identical to the pre-journal
 //! behavior.
-//!
-//! Per-worker serving statistics (polls, assignments, verdicts) have no
-//! ordering constraints and live outside the campaign lock in a
-//! [`Sharded`] striped-lock map.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -46,20 +42,6 @@ use icrowd_sim::campaign::{
 use icrowd_sim::datasets::Dataset;
 
 use crate::protocol::{JournalHealth, Request, Response};
-use crate::sharded::Sharded;
-
-/// Per-worker serving statistics, updated outside the campaign lock.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkerStats {
-    /// `REQUEST_TASK` calls.
-    pub polls: u64,
-    /// Polls that returned an assignment.
-    pub assigned: u64,
-    /// `SUBMIT_ANSWER` calls.
-    pub submitted: u64,
-    /// Submissions the server accepted.
-    pub accepted: u64,
-}
 
 /// A stable fingerprint of the full campaign configuration, stored in
 /// the journal header so recovery refuses a journal written under a
@@ -235,12 +217,23 @@ struct Core {
     driver: MarketDriver,
     backend: CampaignServer,
     journal: Option<Journal>,
+    /// Distinct worker ids that sent `REQUEST_TASK` or `SUBMIT_ANSWER`
+    /// (stray ids included), reported as STATUS's `workers_seen`.
+    seen: HashSet<String>,
+}
+
+impl Core {
+    /// Records `worker` as seen; allocates only for a new id.
+    fn saw(&mut self, worker: &str) {
+        if !self.seen.contains(worker) {
+            self.seen.insert(worker.to_owned());
+        }
+    }
 }
 
 /// One campaign served over the wire. See the module docs.
 pub struct CampaignEngine {
     core: Mutex<Core>,
-    stats: Sharded<WorkerStats>,
     durability: Arc<DurabilityProbe>,
     dataset_key: String,
     dataset: Dataset,
@@ -276,8 +269,8 @@ impl CampaignEngine {
                 driver,
                 backend: setup.server,
                 journal: None,
+                seen: HashSet::new(),
             }),
-            stats: Sharded::new(),
             durability: Arc::new(DurabilityProbe::default()),
             dataset_key: dataset_key.to_owned(),
             dataset,
@@ -332,21 +325,6 @@ impl CampaignEngine {
             DurabilityPolicy::FailStop,
             Box::new(StdIo),
         )
-    }
-
-    /// Like [`Self::start_journal`], with an explicit durability policy
-    /// on the real filesystem.
-    ///
-    /// # Errors
-    /// Propagates journal-creation and header-write failures.
-    pub fn start_journal_policy(
-        &self,
-        path: &Path,
-        fsync_every: usize,
-        snapshot_every: usize,
-        policy: DurabilityPolicy,
-    ) -> std::io::Result<()> {
-        self.start_journal_with(path, fsync_every, snapshot_every, policy, Box::new(StdIo))
     }
 
     /// Like [`Self::start_journal`], with an explicit durability policy
@@ -422,7 +400,7 @@ impl CampaignEngine {
             }
             JournalState::Retrying => {
                 j.pending.push_back(op);
-                self.journal_retry(j, driver);
+                self.journal_retry(j);
             }
             JournalState::Attached => {
                 let accepted =
@@ -514,7 +492,7 @@ impl CampaignEngine {
     /// attempts — never sleeping under the campaign lock) and escalates
     /// to the advertised degraded mode after [`MAX_RETRY_ATTEMPTS`]
     /// consecutive failures.
-    fn journal_retry(&self, j: &mut Journal, _driver: &MarketDriver) {
+    fn journal_retry(&self, j: &mut Journal) {
         if j.retry_backoff > 0 {
             j.retry_backoff -= 1;
             return;
@@ -611,10 +589,12 @@ impl CampaignEngine {
         }
         let (outcome, turn) = {
             let mut core = self.core_lock();
+            core.saw(worker);
             let Core {
                 driver,
                 backend,
                 journal,
+                ..
             } = &mut *core;
             let before = driver.epoch();
             let outcome = driver.poll(backend, worker);
@@ -645,12 +625,6 @@ impl CampaignEngine {
             }
             (outcome, turn)
         };
-        self.stats.update(worker, |s| {
-            s.polls += 1;
-            if matches!(outcome, PollOutcome::Assigned(_)) {
-                s.assigned += 1;
-            }
-        });
         match outcome {
             PollOutcome::Assigned(task) => Response::Task(task),
             PollOutcome::Wait => Response::Wait { turn },
@@ -665,75 +639,62 @@ impl CampaignEngine {
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
-        let resp = {
-            let mut core = self.core_lock();
-            let Core {
-                driver,
-                backend,
-                journal,
-            } = &mut *core;
-            let before = driver.epoch();
-            // The scheduled path is only for the assignment the driver
-            // is suspended on; everything else (duplicates, unsolicited
-            // submissions from misbehaving clients) goes through the
-            // stray path, which validates without touching the schedule.
-            let scheduled = driver
-                .pending()
-                .filter(|p| driver.external_id(p.worker) == worker && p.task == task);
-            let resp = match scheduled {
-                Some(p) => match driver.submit_scheduled(p.worker, answer, backend) {
-                    SubmitReport::Delivered(outcome) => Response::from_outcome(outcome),
-                    SubmitReport::Dropped => Response::Submit {
-                        result: "dropped",
-                        reason: None,
-                    },
-                    SubmitReport::Stalled => Response::Submit {
-                        result: "stalled",
-                        reason: None,
-                    },
-                    SubmitReport::Deferred => Response::Submit {
-                        result: "deferred",
-                        reason: None,
-                    },
+        let mut core = self.core_lock();
+        core.saw(worker);
+        let Core {
+            driver,
+            backend,
+            journal,
+            ..
+        } = &mut *core;
+        let before = driver.epoch();
+        // The scheduled path is only for the assignment the driver
+        // is suspended on; everything else (duplicates, unsolicited
+        // submissions from misbehaving clients) goes through the
+        // stray path, which validates without touching the schedule.
+        let scheduled = driver
+            .pending()
+            .filter(|p| driver.external_id(p.worker) == worker && p.task == task);
+        let resp = match scheduled {
+            Some(p) => match driver.submit_scheduled(p.worker, answer, backend) {
+                SubmitReport::Delivered(outcome) => Response::from_outcome(outcome),
+                SubmitReport::Dropped => Response::Submit {
+                    result: "dropped",
+                    reason: None,
                 },
-                None => Response::from_outcome(driver.submit_stray(backend, worker, task, answer)),
-            };
-            // The continuous conservation law must hold after every
-            // submission; a violation means a verdict was double-counted.
-            let a = driver.accounting();
-            if a.answers_accepted + a.answers_rejected != a.answers_submitted {
-                icrowd_obs::counter_add("serve.invariant_violation", 1);
-            }
-            if driver.epoch() != before {
-                if let Response::Submit { result, reason } = &resp {
-                    let verdict =
-                        reason.map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}"));
-                    self.journal_append(
-                        journal,
-                        driver,
-                        JournalOp::Submit {
-                            worker: worker.to_owned(),
-                            task: task.0,
-                            answer: answer.0,
-                            verdict,
-                        },
-                    );
-                }
-            }
-            resp
+                SubmitReport::Stalled => Response::Submit {
+                    result: "stalled",
+                    reason: None,
+                },
+                SubmitReport::Deferred => Response::Submit {
+                    result: "deferred",
+                    reason: None,
+                },
+            },
+            None => Response::from_outcome(driver.submit_stray(backend, worker, task, answer)),
         };
-        self.stats.update(worker, |s| {
-            s.submitted += 1;
-            if matches!(
-                resp,
-                Response::Submit {
-                    result: "accepted",
-                    ..
-                }
-            ) {
-                s.accepted += 1;
+        // The continuous conservation law must hold after every
+        // submission; a violation means a verdict was double-counted.
+        let a = driver.accounting();
+        if a.answers_accepted + a.answers_rejected != a.answers_submitted {
+            icrowd_obs::counter_add("serve.invariant_violation", 1);
+        }
+        if driver.epoch() != before {
+            if let Response::Submit { result, reason } = &resp {
+                let verdict =
+                    reason.map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}"));
+                self.journal_append(
+                    journal,
+                    driver,
+                    JournalOp::Submit {
+                        worker: worker.to_owned(),
+                        task: task.0,
+                        answer: answer.0,
+                        verdict,
+                    },
+                );
             }
-        });
+        }
         resp
     }
 
@@ -743,6 +704,7 @@ impl CampaignEngine {
             driver,
             backend,
             journal,
+            seen,
         } = &mut *core;
         // Pump deferred (late) deliveries so progress keeps moving even
         // after every worker left, and the final sweep runs once the
@@ -763,7 +725,7 @@ impl CampaignEngine {
             accounting: a,
             balanced: a.answers_accepted + a.answers_rejected == a.answers_submitted,
             connections,
-            workers_seen: self.stats.len(),
+            workers_seen: seen.len(),
             journal: journal.as_ref().map(Journal::health),
         }
     }
@@ -775,6 +737,7 @@ impl CampaignEngine {
             driver,
             backend,
             journal,
+            ..
         } = &mut *core;
         if !self.durability.fail_stopped() {
             let before = driver.epoch();
@@ -812,11 +775,6 @@ impl CampaignEngine {
         )
     }
 
-    /// A copy of one worker's serving statistics.
-    pub fn worker_stats(&self, worker: &str) -> Option<WorkerStats> {
-        self.stats.get(worker, |s| *s)
-    }
-
     /// Drains the campaign into its scored result: pumps stragglers,
     /// forces the final sweep if the schedule did not complete, and
     /// scores exactly as the in-process harness does. The journal (if
@@ -832,6 +790,7 @@ impl CampaignEngine {
             mut driver,
             mut backend,
             journal,
+            ..
         } = core;
         if let Some(mut j) = journal {
             let _ = j.writer.sync();
@@ -1026,6 +985,53 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn status_counts_distinct_workers_that_polled_or_submitted() {
+        let eng = engine();
+        let seen = |eng: &CampaignEngine| match eng.handle(&Request::Status, 0) {
+            Response::Status { workers_seen, .. } => workers_seen,
+            other => panic!("unexpected {other:?}"),
+        };
+        eng.handle(&Request::Hello, 0);
+        assert_eq!(seen(&eng), 0, "HELLO and STATUS name no worker");
+        for _ in 0..3 {
+            eng.handle(
+                &Request::RequestTask {
+                    worker: "W1".into(),
+                },
+                0,
+            );
+        }
+        eng.handle(
+            &Request::RequestTask {
+                worker: "W2".into(),
+            },
+            0,
+        );
+        assert_eq!(seen(&eng), 2, "repeat polls count once");
+        // A stray id that only ever submits still counts, once.
+        for _ in 0..2 {
+            eng.handle(
+                &Request::SubmitAnswer {
+                    worker: "ghost".into(),
+                    task: TaskId(0),
+                    answer: Answer::YES,
+                },
+                0,
+            );
+        }
+        assert_eq!(seen(&eng), 3);
+        eng.handle(
+            &Request::SubmitAnswer {
+                worker: "W1".into(),
+                task: TaskId(0),
+                answer: Answer::YES,
+            },
+            0,
+        );
+        assert_eq!(seen(&eng), 3, "W1 was already seen polling");
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   validation and the `MarketAccounting` conservation laws hold under
 //!   concurrent clients, and the final consensus is byte-identical to
 //!   an in-process run at the same seed.
-//! * [`sharded`] — a striped-lock map for per-worker statistics that
-//!   are updated concurrently outside the campaign lock.
 //! * [`server`] — a blocking acceptor and one thread per persistent
 //!   connection; past the live-connection cap it rejects with `BUSY`
 //!   (accept-then-reject backpressure), and shutdown drains in-flight
@@ -45,7 +43,6 @@ pub mod loadgen;
 pub mod protocol;
 pub mod recovery;
 pub mod server;
-pub mod sharded;
 
 pub use chaosproxy::{ChaosProxy, ChaosProxyConfig, ChaosProxyStats};
 pub use client::Conn;
@@ -54,4 +51,3 @@ pub use loadgen::{run_loadgen, ClientFaultConfig, LoadgenConfig, LoadgenReport};
 pub use protocol::{JournalHealth, Request, Response};
 pub use recovery::{recover, recover_with_policy, RecoveryReport};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use sharded::Sharded;

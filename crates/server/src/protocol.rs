@@ -183,11 +183,6 @@ pub struct JournalHealth {
 }
 
 impl JournalHealth {
-    /// Whether the journal is currently providing durability.
-    pub fn attached(&self) -> bool {
-        self.state == "attached"
-    }
-
     fn to_value(&self) -> Value {
         let mut v = json!({
             "state": self.state,

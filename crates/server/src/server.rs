@@ -314,20 +314,27 @@ fn acceptor_loop(
     }
 }
 
+/// Longest request line accepted, newline excluded. Real requests are
+/// under 1 KiB; the cap bounds what a client that never sends `\n` can
+/// make a connection thread buffer.
+const MAX_LINE: usize = 64 * 1024;
+
 /// A request line (trailing `\n` stripped) accumulated byte-by-byte, or
 /// the reason the connection ended.
 enum LineRead {
     Line(String),
     Eof,
     Evicted,
+    TooLong,
     ShuttingDown,
     Error,
 }
 
 /// Reads until `acc` holds a complete line, enforcing the idle
-/// deadline. Partial bytes survive read timeouts — a slow writer is
-/// only evicted once the *deadline* passes, never by losing data to a
-/// 100 ms poll tick.
+/// deadline and [`MAX_LINE`]. Partial bytes survive read timeouts — a
+/// slow writer is only evicted once the *deadline* passes, never by
+/// losing data to a 100 ms poll tick. Each byte is scanned for `\n`
+/// once.
 fn read_deadline_line(
     stream: &mut TcpStream,
     acc: &mut Vec<u8>,
@@ -336,11 +343,16 @@ fn read_deadline_line(
 ) -> LineRead {
     let deadline_start = Instant::now();
     let mut buf = [0u8; 4096];
+    let mut scanned = 0;
     loop {
-        if let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let rest = acc.split_off(pos + 1);
+        if let Some(pos) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let rest = acc.split_off(scanned + pos + 1);
             let line = std::mem::replace(acc, rest);
             return LineRead::Line(String::from_utf8_lossy(&line).into_owned());
+        }
+        scanned = acc.len();
+        if scanned > MAX_LINE {
+            return LineRead::TooLong;
         }
         match stream.read(&mut buf) {
             Ok(0) => return LineRead::Eof,
@@ -392,6 +404,16 @@ fn serve_connection(
                 out.clear();
                 Response::Error {
                     message: "idle timeout — connection evicted".to_owned(),
+                }
+                .encode_line(&mut out);
+                let _ = writer.write_all(out.as_bytes());
+                return;
+            }
+            LineRead::TooLong => {
+                icrowd_obs::counter_add("serve.line_too_long", 1);
+                out.clear();
+                Response::Error {
+                    message: format!("request line exceeds {MAX_LINE} bytes — connection closed"),
                 }
                 .encode_line(&mut out);
                 let _ = writer.write_all(out.as_bytes());

@@ -81,7 +81,6 @@ impl Tokenizer {
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     by_token: HashMap<String, u32>,
-    tokens: Vec<String>,
 }
 
 impl Vocabulary {
@@ -95,9 +94,8 @@ impl Vocabulary {
         if let Some(&id) = self.by_token.get(token) {
             return id;
         }
-        let id = u32::try_from(self.tokens.len()).expect("vocabulary overflow");
+        let id = u32::try_from(self.by_token.len()).expect("vocabulary overflow");
         self.by_token.insert(token.to_owned(), id);
-        self.tokens.push(token.to_owned());
         id
     }
 
@@ -106,19 +104,14 @@ impl Vocabulary {
         self.by_token.get(token).copied()
     }
 
-    /// The token with the given id.
-    pub fn token(&self, id: u32) -> Option<&str> {
-        self.tokens.get(id as usize).map(String::as_str)
-    }
-
     /// Vocabulary size.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.by_token.len()
     }
 
     /// Whether the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.by_token.is_empty()
     }
 
     /// Tokenizes and interns a whole document, returning token ids.
@@ -196,7 +189,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(v.intern("iphone"), a);
         assert_eq!(v.get("ipad"), Some(b));
-        assert_eq!(v.token(a), Some("iphone"));
         assert_eq!(v.len(), 2);
     }
 

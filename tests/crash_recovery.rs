@@ -8,12 +8,13 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use icrowd::AssignStrategy;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{
     client, recover, run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig,
 };
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
-use icrowd_sim::datasets::table1;
+use icrowd_sim::datasets::{by_name, table1};
 use serde_json::Value;
 
 /// A fast campaign configuration (table1, Jaccard, 3 gold tasks).
@@ -45,15 +46,43 @@ fn publish_addr(addr_file: &PathBuf, addr: &str) {
 /// in-process baseline with exactly-once accepted answers.
 #[test]
 fn journaled_serve_restart_preserves_exactly_once_and_labels() {
-    let approach = Approach::RandomMV;
-    let expected = run_campaign(&table1(), approach, &quick_config());
+    restart_preserves_exactly_once_and_labels("table1", Approach::RandomMV, quick_config());
+}
 
-    let journal = tmp("restart.journal");
-    let addr_file = tmp("restart.addr");
+/// The same restart on the assigner with the most state: iCrowd's
+/// adaptive assignment over yahooqa's similarity graph, whose estimator
+/// and candidate state recovery must rebuild by replay alone.
+#[test]
+fn journaled_serve_restart_on_adaptive_yahooqa_preserves_exactly_once_and_labels() {
+    let config = CampaignConfig {
+        seed: 42,
+        ..Default::default()
+    };
+    restart_preserves_exactly_once_and_labels(
+        "yahooqa",
+        Approach::ICrowd(AssignStrategy::Adapt),
+        config,
+    );
+}
+
+/// Serves `dataset` under `approach` with a journal, kills the server
+/// once a tenth of the baseline's answers (at least 3) are accepted,
+/// recovers from the journal and lets the same loadgen finish.
+fn restart_preserves_exactly_once_and_labels(
+    dataset: &str,
+    approach: Approach,
+    config: CampaignConfig,
+) {
+    let ds = || by_name(dataset, config.seed).expect("known dataset");
+    let expected = run_campaign(&ds(), approach, &config);
+    let crash_after = (expected.answers as u64 / 10).max(3);
+
+    let journal = tmp(&format!("restart_{dataset}.journal"));
+    let addr_file = tmp(&format!("restart_{dataset}.addr"));
     std::fs::remove_file(&journal).ok();
     std::fs::remove_file(&addr_file).ok();
 
-    let engine = CampaignEngine::new("table1", table1(), approach, quick_config());
+    let engine = CampaignEngine::new(dataset, ds(), approach, config.clone());
     engine
         .start_journal(&journal, 1, 8)
         .expect("journal starts");
@@ -88,7 +117,7 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
                 .and_then(|a| a.get("accepted"))
                 .and_then(Value::as_u64)
                 .unwrap_or(0);
-            if accepted >= 3 {
+            if accepted >= crash_after {
                 break;
             }
         }
@@ -99,8 +128,8 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
     assert!(!interrupted.completed, "crash point was after completion");
 
     // Recover from the journal and resume serving on a fresh port.
-    let (recovered, report) = recover(&journal, "table1", table1(), approach, quick_config(), 1, 8)
-        .expect("recovery succeeds");
+    let (recovered, report) =
+        recover(&journal, dataset, ds(), approach, config, 1, 8).expect("recovery succeeds");
     assert!(report.ops_replayed > 0, "nothing was journaled: {report:?}");
     let handle = serve(recovered, &ServeConfig::default()).expect("rebind");
     publish_addr(&addr_file, &handle.addr().to_string());

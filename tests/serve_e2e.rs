@@ -299,6 +299,60 @@ fn malformed_requests_get_error_responses_not_resets() {
     let _ = handle.join();
 }
 
+/// A client that streams bytes without ever sending `\n` is cut off at
+/// the line cap, long before the idle deadline, instead of growing the
+/// server's buffer; other clients are still served.
+#[test]
+fn endless_request_line_is_cut_off_at_the_cap() {
+    use std::io::{Read as _, Write as _};
+    let handle = start(Approach::RandomMV, 8);
+    let addr = handle.addr().to_string();
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..16 {
+        // 1 MiB in total. The server may close (or reset) mid-stream;
+        // later writes then fail, which is fine.
+        if stream.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let started = Instant::now();
+    let mut reply = Vec::new();
+    match stream.read_to_end(&mut reply) {
+        // An error line and/or EOF: the server closed the connection.
+        Ok(_) => {
+            let text = String::from_utf8_lossy(&reply);
+            if let Some(line) = text.lines().next() {
+                let v: Value = serde_json::from_str(line).expect("error response parses");
+                assert_eq!(v["ok"].as_bool(), Some(false), "{line}");
+            }
+        }
+        Err(e) => assert!(
+            e.kind() == std::io::ErrorKind::ConnectionReset,
+            "expected an error line, EOF or a reset, got {e}"
+        ),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the server held the connection open for {:?}",
+        started.elapsed()
+    );
+
+    let mut conn = Conn::open(addr.as_str()).expect("a new connection is accepted");
+    let v = conn.call(&Request::Hello).expect("HELLO answered");
+    assert_eq!(v["type"].as_str(), Some("hello"), "{v}");
+    drop(conn);
+    handle.shutdown();
+    let _ = handle.join();
+}
+
 /// Client-side fault injection: duplicate submissions are rejected as
 /// strays, the campaign still completes, and consensus is unchanged —
 /// duplicates must never alter labels or double-pay.
